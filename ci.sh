@@ -6,7 +6,8 @@
 # two-job matrix: `quick` on pull requests, the full pipeline on pushes
 # to main.
 #
-#   ./ci.sh         # full pipeline: fmt, clippy, docs, tier-1, tables,
+#   ./ci.sh         # full pipeline: fmt, clippy, docs, tier-1, the
+#                   # benchmark's own tests, tables,
 #                   # golden checks, parallel-determinism diff, telemetry
 #                   # trace export + cross-thread diff, every example,
 #                   # bench smoke, bench artifacts, bench gate
@@ -176,6 +177,13 @@ echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 tier1
+
+# The benchmark package (its own workspace, so tier-1 never builds it)
+# carries the only check that a replay of public calls still reproduces
+# run_shard_scale's fingerprint, and that its probe wrappers leave
+# PipelineBuilder (LQD + HTB) and service runs unchanged.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo run --release -p npqm-bench --bin all_tables"
 cargo run --release -q -p npqm-bench --bin all_tables >/dev/null

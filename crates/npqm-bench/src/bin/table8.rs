@@ -15,7 +15,8 @@
 //! turn directly into queue operations per second.
 //!
 //! `table8 --check` runs the machine-checkable golden gates instead of
-//! the pretty table: byte+pointer conservation on every cell, the
+//! the pretty table: conservation on every cell (zero torn frames, a
+//! closed per-packet ledger, byte and pointer-access conservation), the
 //! reordering scheduler at least as fast as naive at every bank count,
 //! modeled ops/sec monotone in the bank count for both schedulers, and a
 //! thread-invariant fingerprint (the whole costing pipeline is
@@ -79,7 +80,8 @@ fn run_check(threads: usize, report_path: Option<&str>) {
         check(
             r.conserved,
             &format!(
-                "{cell}: byte + pointer conservation (admitted {} = drained {} + residual {})",
+                "{cell}: conservation: no torn frame, packet ledger closed, admitted {} B = \
+                 drained {} B + residual {} B, every pointer access charged",
                 r.admitted_bytes, r.drained_bytes, r.residual_bytes
             ),
         );

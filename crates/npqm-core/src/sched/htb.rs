@@ -466,6 +466,11 @@ impl HtbScheduler {
         self.leaves.len()
     }
 
+    /// Whether some leaf class schedules `flow`.
+    pub fn covers(&self, flow: FlowId) -> bool {
+        self.slot_of_flow.contains_key(&flow.index())
+    }
+
     fn within_ceil(nodes: &[Node], mut idx: usize) -> bool {
         loop {
             if nodes[idx].ctokens < 0 {

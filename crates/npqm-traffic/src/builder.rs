@@ -1,27 +1,25 @@
 //! One entry point for every closed-loop pipeline shape.
 //!
-//! The pipeline grew four run functions — dense, memory-timed, sharded,
-//! globally-admitted — with overlapping parameter lists. This module
-//! collapses the zoo into a single [`PipelineBuilder`]: pick the shard
-//! count, threading, admission flavour, timing model and egress
-//! discipline independently, then [`run`](PipelineBuilder::run). Every
-//! combination returns the same
-//! `ShardedPipelineReport`
-//! (a dense run is simply one shard), so downstream reporting code is
-//! shape-agnostic.
+//! [`PipelineBuilder`] picks the shard count, threading, admission
+//! flavour, timing model and egress discipline independently, then
+//! [`run`](PipelineBuilder::run)s. Every combination returns the same
+//! [`ShardedPipelineReport`] (a dense run is simply one shard), so
+//! downstream reporting code is shape-agnostic.
 //!
-//! Determinism contracts are inherited, not re-implemented: one shard is
-//! byte-identical to the dense loop, and `parallel(true)` is
-//! byte-identical to serial at any thread count.
+//! Every shape runs the same finite-trace event loop: the builder only
+//! chooses its arrival source (drawn lazily, or one pregenerated trace
+//! walked per shard), its admission (shard-local or global) and how many
+//! egress servers drain it. `parallel(true)` is byte-identical to serial
+//! at any thread count.
 
-use crate::pipeline::{
-    assemble_sharded_report, dense_impl, global_lqd_impl, sharded_impl, timed_impl, PipelineConfig,
-    ShardedPipelineReport,
-};
+use crate::pipeline::{run_global, run_local, PipelineConfig, ShardedPipelineReport};
 use npqm_core::policy::{DropPolicy, DynamicThreshold};
 use npqm_core::sched::{from_spec, FlowScheduler, HtbScheduler};
+use npqm_core::shard::parallel::GlobalLqd;
+use npqm_core::shard::ShardedQueueManager;
 use npqm_core::telemetry::TelemetryConfig;
 use npqm_core::timing::TimingConfig;
+use npqm_core::FlowId;
 
 type PolicyFactory = Box<dyn FnMut(usize) -> Box<dyn DropPolicy + Send>>;
 type SchedFactory = Box<dyn FnMut(usize) -> Box<dyn FlowScheduler + Send>>;
@@ -106,6 +104,21 @@ impl PipelineBuilder {
 
     /// Number of engine shards (1 = the dense pipeline).
     ///
+    /// Arrivals are routed to their flow's home shard (see
+    /// [`ShardedQueueManager::shard_of`]), and each shard drains through
+    /// its own scheduler and egress server at `cfg.egress_gbps / n`. The
+    /// *aggregate* line capacity equals the dense pipeline's, but it is
+    /// statically partitioned, exactly like per-engine line cards: a
+    /// shard whose egress idles (e.g. the hash homed no flow of a small
+    /// mix on it) cannot lend its capacity to a loaded shard, so sharded
+    /// goodput can trail the dense pipeline's under skew — the per-shard
+    /// reports make that partitioning penalty visible. Under shard-local
+    /// admission each shard manages `1/n` of the buffer and keeps its own
+    /// per-packet ledger, so torn frames are caught exactly as on one
+    /// shard. Arrivals stop at `cfg.duration` and every shard then
+    /// drains, so per shard and in aggregate
+    /// `offered == delivered + dropped + evicted` at return.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
@@ -116,9 +129,16 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs each shard's loop on its own worker thread. Byte-identical
-    /// to serial; ignored at one shard or under global admission (the
-    /// coupled loop is inherently serial).
+    /// Runs each shard's loop on its own worker thread.
+    ///
+    /// Shard-local admission couples nothing across shards, so a sharded
+    /// run factorizes into one self-contained loop per shard over the
+    /// shared offered trace. **Parallel and serial runs produce
+    /// byte-identical reports** — same loops, same inputs, merged in
+    /// shard order — which the CI `parallel-determinism` stage diffs end
+    /// to end. Ignored at one shard and under
+    /// [global admission](Self::admission_global_lqd), whose coupled
+    /// loop is inherently serial.
     #[must_use]
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
@@ -148,10 +168,22 @@ impl PipelineBuilder {
         self
     }
 
-    /// Global shared-buffer admission: one
-    /// [`GlobalLqd`](npqm_core::GlobalLqd) budget over all shards (an
-    /// arrival may push out the globally longest queue on any shard).
-    /// The run is serial regardless of [`parallel`](Self::parallel).
+    /// Global shared-buffer admission: one [`GlobalLqd`] budget over all
+    /// shards, emulating the paper's shared data memory across
+    /// partitioned engines. The engine is built in the shared-buffer
+    /// pairing ([`ShardedQueueManager::new`], each shard able to hold
+    /// the full buffer) and the budget is `cfg.qm.num_segments()` — the
+    /// *same* aggregate buffer the dense and shard-local sharded runs
+    /// manage, so the three are directly comparable. Egress stays
+    /// statically partitioned exactly as under [`shards`](Self::shards):
+    /// only the buffer is shared.
+    ///
+    /// An arrival on one shard may push out the globally longest queue
+    /// on *another*, so the shards are coupled and run as one
+    /// interleaved loop on the calling thread regardless of
+    /// [`parallel`](Self::parallel) (the run is still a pure function of
+    /// the configuration). Push-out victims are charged to their own
+    /// home shard's report.
     #[must_use]
     pub fn admission_global_lqd(mut self, reserve_segments: u32) -> Self {
         self.admission = AdmissionSel::GlobalLqd { reserve_segments };
@@ -198,11 +230,17 @@ impl PipelineBuilder {
     }
 
     /// Hierarchical (HTB) egress: each shard drains through an
-    /// independent clone of `tree` (fresh ledgers, same classes). Leaves
-    /// must cover every flow the mix can draw, or packets on uncovered
-    /// flows would never be scheduled.
+    /// independent clone of `tree` (fresh ledgers, same classes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the leaves cover every flow the mix can draw:
+    /// packets on an uncovered flow could never be scheduled.
     #[must_use]
     pub fn egress_htb(mut self, tree: HtbScheduler) -> Self {
+        if let Some(f) = (0..self.cfg.mix.flows()).find(|&f| !tree.covers(FlowId::new(f))) {
+            panic!("egress_htb: flow {f} has no leaf and could never be scheduled");
+        }
         self.egress = EgressSel::Htb(Box::new(tree));
         self
     }
@@ -216,7 +254,26 @@ impl PipelineBuilder {
     /// invalid-config conditions (non-positive egress rate, flow mix
     /// outside the engine's flow table, empty per-shard buffer).
     pub fn run(self) -> ShardedPipelineReport {
-        let flows = self.cfg.mix.flows();
+        let cfg = &self.cfg;
+        let flows = cfg.mix.flows();
+        assert!(
+            flows <= cfg.qm.num_flows(),
+            "flow mix draws flows outside the engine's flow table"
+        );
+        let n = self.shards;
+        let timing = match self.timing {
+            TimingSel::Paper(timing) => {
+                assert_eq!(
+                    n, 1,
+                    "memory-derived timing models one engine's channel; use shards(1)"
+                );
+                Some(timing)
+            }
+            TimingSel::Uncosted => {
+                assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
+                None
+            }
+        };
         let mut mk_sched: SchedFactory = match self.egress {
             EgressSel::Spec(spec) => Box::new(move |_| {
                 from_spec(&spec, flows).expect("spec was validated in egress_spec")
@@ -224,37 +281,30 @@ impl PipelineBuilder {
             EgressSel::Factory(f) => f,
             EgressSel::Htb(tree) => Box::new(move |_| Box::new((*tree).clone())),
         };
-        match self.timing {
-            TimingSel::Paper(timing) => {
-                assert_eq!(
-                    self.shards, 1,
-                    "memory-derived timing models one engine's channel; use shards(1)"
-                );
-                let AdmissionSel::Local(mut mk_policy) = self.admission else {
-                    panic!("memory-derived timing supports shard-local admission only");
-                };
-                let mut policy = mk_policy(0);
-                let mut sched = mk_sched(0);
-                let report = timed_impl(&self.cfg, &mut policy, &mut sched, &timing);
-                assemble_sharded_report(vec![report], vec![0; flows as usize], flows)
+        let mut scheds: Vec<_> = (0..n).map(&mut mk_sched).collect();
+        match self.admission {
+            AdmissionSel::Local(mut mk_policy) => {
+                let mut engine = ShardedQueueManager::partitioned(cfg.qm, n)
+                    .expect("per-shard buffer must be non-empty");
+                let mut policies: Vec<_> = (0..n).map(&mut mk_policy).collect();
+                run_local(
+                    cfg,
+                    &mut engine,
+                    self.parallel,
+                    &mut policies,
+                    &mut scheds,
+                    timing,
+                )
             }
-            TimingSel::Uncosted => match self.admission {
-                AdmissionSel::Local(mk_policy) if self.shards == 1 && !self.parallel => {
-                    // One shard runs the dense loop directly (pinned
-                    // byte-identical to the 1-shard trace replay).
-                    let mut mk_policy = mk_policy;
-                    let mut policy = mk_policy(0);
-                    let mut sched = mk_sched(0);
-                    let report = dense_impl(&self.cfg, &mut policy, &mut sched);
-                    assemble_sharded_report(vec![report], vec![0; flows as usize], flows)
-                }
-                AdmissionSel::Local(mk_policy) => {
-                    sharded_impl(&self.cfg, self.shards, self.parallel, mk_policy, mk_sched)
-                }
-                AdmissionSel::GlobalLqd { reserve_segments } => {
-                    global_lqd_impl(&self.cfg, self.shards, reserve_segments, mk_sched)
-                }
-            },
+            AdmissionSel::GlobalLqd { reserve_segments } => {
+                assert!(
+                    timing.is_none(),
+                    "memory-derived timing supports shard-local admission only"
+                );
+                let mut engine = ShardedQueueManager::new(cfg.qm, n);
+                let mut policy = GlobalLqd::new(cfg.qm.num_segments(), reserve_segments);
+                run_global(cfg, &mut engine, &mut policy, &mut scheds)
+            }
         }
     }
 }
@@ -263,49 +313,7 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use npqm_core::policy::LongestQueueDrop;
-    use npqm_core::sched::DeficitRoundRobin;
-
-    #[test]
-    fn defaults_match_the_dense_pipeline() {
-        let cfg = PipelineConfig::bursty_overload(11);
-        let built = PipelineBuilder::new(&cfg).run();
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let dense = dense_impl(&cfg, &mut policy, &mut sched);
-        assert_eq!(format!("{:?}", built.aggregate), format!("{dense:?}"));
-        assert_eq!(built.shards.len(), 1);
-        assert_eq!(built.shard_of_flow, vec![0; 16]);
-    }
-
-    #[test]
-    fn sharded_builder_matches_the_sharded_runner() {
-        let cfg = PipelineConfig::bursty_overload(12);
-        let built = PipelineBuilder::new(&cfg)
-            .shards(4)
-            .parallel(true)
-            .admission(|_| DynamicThreshold::new(2.0))
-            .egress_spec("drr:1518")
-            .run();
-        let direct = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        assert_eq!(format!("{built:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    fn global_admission_matches_the_global_runner() {
-        let cfg = PipelineConfig::bursty_overload(13);
-        let built = PipelineBuilder::new(&cfg)
-            .shards(4)
-            .admission_global_lqd(0)
-            .run();
-        let direct = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        assert_eq!(format!("{built:?}"), format!("{direct:?}"));
-    }
+    use npqm_core::sched::{HtbClass, HtbTreeBuilder};
 
     #[test]
     fn paper_timing_runs_and_reconciles() {
@@ -327,6 +335,18 @@ mod tests {
     fn bad_spec_fails_fast_at_build_time() {
         let cfg = PipelineConfig::small_demo(1);
         let _ = PipelineBuilder::new(&cfg).egress_spec("wrr:9,9");
+    }
+
+    #[test]
+    #[should_panic(expected = "egress_htb: flow 3 has no leaf")]
+    fn htb_tree_leaving_a_flow_uncovered_fails_fast_at_build_time() {
+        // Leaves for flows 0-2 of small_demo's 4: flow 3 would strand.
+        let tree = HtbTreeBuilder::new(1000)
+            .class("root", None, HtbClass::rate(1000))
+            .leaves(Some("root"), 0..3, HtbClass::rate(300).ceil(1000))
+            .build()
+            .expect("a valid tree");
+        let _ = PipelineBuilder::new(&PipelineConfig::small_demo(7)).egress_htb(tree);
     }
 
     #[test]

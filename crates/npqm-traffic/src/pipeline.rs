@@ -13,9 +13,9 @@
 //! configurable line rate — so buffer-management policies can finally be
 //! *exercised and measured* instead of only unit-tested.
 //!
-//! [`run_timed_pipeline`] swaps the fixed line rate for a
-//! **memory-derived** egress: each packet's service time is the modeled
-//! ZBT/DDR cost of its dequeue access stream (see
+//! With [`PipelineBuilder::timing_paper`] the fixed line rate gives way
+//! to a **memory-derived** egress: each packet's service time is the
+//! modeled ZBT/DDR cost of its dequeue access stream (see
 //! [`npqm_core::timing`]), so the delivered goodput is bounded by the
 //! memory organisation instead of an assumed wire speed.
 //!
@@ -27,9 +27,10 @@
 //! corruption class the open-tail fixes in `npqm-core` close) and is
 //! counted, never ignored.
 //!
-//! All pipeline shapes are built through
-//! [`PipelineBuilder`](crate::PipelineBuilder); the historical
-//! `run_*` entry points survive as deprecated thin wrappers.
+//! Every pipeline shape — dense, memory-timed, sharded (serial or
+//! parallel) and globally admitted — is built through [`PipelineBuilder`]
+//! and runs the same finite-trace event loop; only the arrival source,
+//! the admission and the number of egress servers differ.
 //!
 //! # Example
 //!
@@ -47,19 +48,18 @@
 //! assert_eq!(report.integrity_violations, 0);
 //! ```
 
-use crate::arrival::{ArrivalGen, ArrivalProcess};
+use crate::arrival::ArrivalProcess;
 use crate::flows::FlowMix;
-use crate::service::{
-    generate_trace, partition_indices, run_trace_shard, ArrivalEvent, LoopState, PacketStream,
-    DRAW_SEED_MIX,
-};
+use crate::service::{offered_trace, partition_indices, ArrivalEvent, LoopState};
 use crate::size::SizeDistribution;
+use crate::PipelineBuilder;
+use npqm_core::check::fnv1a_fold;
 use npqm_core::limits::{BufferManager, FlowLimits};
-use npqm_core::policy::{DropPolicy, DynamicThreshold, LongestQueueDrop};
-use npqm_core::sched::{DeficitRoundRobin, FlowScheduler};
-use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
+use npqm_core::policy::{Admission, DropPolicy, DynamicThreshold, LongestQueueDrop, Refusal};
+use npqm_core::sched::FlowScheduler;
+use npqm_core::shard::parallel::GlobalDropPolicy;
 use npqm_core::shard::ShardedQueueManager;
-use npqm_core::telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
+use npqm_core::telemetry::{MetricsRegistry, Telemetry, TelemetryConfig, TelemetryReport};
 use npqm_core::timing::{MemoryModel, PaperTiming, TimingConfig};
 use npqm_core::{FlowId, QmConfig, QueueManager};
 use npqm_sim::stats::MeanVar;
@@ -217,6 +217,19 @@ impl PipelineReport {
         self.delivered_bytes as f64 * 8.0 / self.makespan.as_nanos_f64()
     }
 
+    /// Adds every per-flow entry into the report's totals.
+    pub(crate) fn fold_flows(&mut self) {
+        for fr in &self.flows {
+            self.offered_pkts += fr.offered_pkts;
+            self.offered_bytes += fr.offered_bytes;
+            self.dropped_pkts += fr.dropped_pkts;
+            self.evicted_pkts += fr.evicted_pkts;
+            self.delivered_pkts += fr.delivered_pkts;
+            self.delivered_bytes += fr.delivered_bytes;
+            self.latency_ns.merge(&fr.latency_ns);
+        }
+    }
+
     /// Fraction of offered packets that were refused or pushed out.
     pub fn loss_fraction(&self) -> f64 {
         if self.offered_pkts == 0 {
@@ -226,12 +239,12 @@ impl PipelineReport {
     }
 }
 
-/// Events of the closed loop: a packet arrives, or one of the egress
-/// servers (one per shard; the dense pipeline uses shard 0 only)
-/// finishes transmitting a packet.
+/// Events of the finite-trace loop: the next offered packet arrives, or
+/// one of the egress servers (one per shard of the loop) finishes
+/// transmitting a packet.
 #[derive(Debug, Clone)]
 enum Ev {
-    Arrival,
+    Arrival(ArrivalEvent),
     TxDone {
         shard: usize,
         flow: FlowId,
@@ -247,6 +260,21 @@ pub(crate) struct Slot {
     pub(crate) enqueued_at: Picos,
     pub(crate) len: u32,
     pub(crate) marker: u8,
+}
+
+/// Folds a residual packet ledger — `(flow, length, marker)` of every
+/// buffered packet, flow by flow — into an FNV-1a accumulator. The
+/// streaming service's shard digests and the scale experiment's row
+/// fingerprint both pin their ledgers through this one fold.
+pub(crate) fn fold_ledger(mut h: u64, ledger: &[VecDeque<Slot>]) -> u64 {
+    for (f, slots) in ledger.iter().enumerate() {
+        for slot in slots {
+            h = fnv1a_fold(h, f as u64);
+            h = fnv1a_fold(h, u64::from(slot.len));
+            h = fnv1a_fold(h, u64::from(slot.marker));
+        }
+    }
+    h
 }
 
 /// How the egress server prices a packet's service time.
@@ -285,202 +313,177 @@ impl Egress<'_> {
     }
 }
 
-/// Runs the closed loop: `cfg.arrivals` feeds `policy`-guarded admission
-/// into a fresh [`QueueManager`], and one egress server drains it through
-/// `sched` at `cfg.egress_gbps`.
-///
-/// Arrivals stop at `cfg.duration`; the loop then runs until the backlog
-/// has fully drained, so admitted ≡ delivered + evicted at return.
-///
-/// This loop and `sharded_impl`'s are deliberate twins (the
-/// sharded one threads a shard index through admission, scheduling and
-/// egress); a fix to arrival/eviction/ledger handling here almost
-/// certainly belongs there too, and the test
-/// `one_shard_pipeline_matches_the_dense_pipeline` pins the two loops
-/// together.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder (shards(1) runs this dense loop)")]
-pub fn run_pipeline<P, S>(cfg: &PipelineConfig, policy: &mut P, sched: &mut S) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    dense_impl(cfg, policy, sched)
+/// Admission as every closed loop sees it: a packet offered either to a
+/// shard-local [`DropPolicy`] guarding one engine ([`Local`]) or to a
+/// [`GlobalDropPolicy`] over a whole sharded engine ([`Global`]), plus
+/// the engine reads the egress servers and telemetry need.
+pub(crate) trait Admit {
+    /// The policy's report name.
+    fn name(&self) -> &str;
+    /// Offers one whole packet on `flow`.
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal>;
+    /// The egress server (shard of the loop) that serves `flow`.
+    fn home(&self, flow: FlowId) -> usize;
+    /// The engine egress server `shard` drains.
+    fn engine(&mut self, shard: usize) -> &mut QueueManager;
+    /// Segments queued on `flow`.
+    fn depth(&self, flow: FlowId) -> u32;
+    /// Segments occupied across everything the policy guards.
+    fn occupancy(&self) -> u32;
 }
 
-/// The dense closed loop behind [`PipelineBuilder`](crate::PipelineBuilder)
-/// at one shard (and the deprecated `run_pipeline` wrapper).
-pub(crate) fn dense_impl<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-    run_dense_loop(cfg, policy, sched, &mut Egress::Line(cfg.egress_gbps))
+/// Shard-local admission: `policy` guards the one engine `qm`.
+pub(crate) struct Local<'a, P: ?Sized> {
+    pub(crate) qm: &'a mut QueueManager,
+    pub(crate) policy: &'a mut P,
 }
 
-/// Runs the closed loop with a **memory-derived** egress: instead of a
-/// fixed line rate, each packet's service time is the modeled cost of
-/// its dequeue access stream — every pointer access priced by the ZBT
-/// SRAM model, every segment read by the DDR bank model under `timing`'s
-/// scheduler and bank count (see [`npqm_core::timing`]).
-///
-/// The engine runs with tracing enabled; admission-side enqueue traffic
-/// is charged to the same channel just before each service starts, so
-/// the bank pressure the ingress path creates is visible to egress
-/// costing. What is *not* costed: the admission policy's computation,
-/// and any queueing inside the memory controller beyond the slot
-/// protocol. `cfg.egress_gbps` is ignored in this mode.
-///
-/// Deterministic: the run is a pure function of `cfg` and `timing`.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::timing_paper")]
-pub fn run_timed_pipeline<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    timing: &TimingConfig,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    timed_impl(cfg, policy, sched, timing)
-}
-
-/// The memory-costed dense loop behind
-/// [`PipelineBuilder::timing_paper`](crate::PipelineBuilder::timing_paper).
-pub(crate) fn timed_impl<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    timing: &TimingConfig,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let mut model = PaperTiming::new(*timing);
-    run_dense_loop(cfg, policy, sched, &mut Egress::Memory(&mut model))
-}
-
-/// The dense closed loop shared by [`run_pipeline`] and
-/// [`run_timed_pipeline`]; `egress` prices each packet's service time.
-fn run_dense_loop<P, S>(
-    cfg: &PipelineConfig,
-    policy: &mut P,
-    sched: &mut S,
-    egress: &mut Egress<'_>,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-
-    let mut qm = QueueManager::new(cfg.qm);
-    if matches!(egress, Egress::Memory(_)) {
-        qm.set_tracing(true);
+impl<P: DropPolicy + ?Sized> Admit for Local<'_, P> {
+    fn name(&self) -> &str {
+        self.policy.name()
     }
-    let mut arrivals = ArrivalGen::new(cfg.arrivals, cfg.seed);
-    let mut stream = PacketStream::new(&cfg.mix, &cfg.sizes, cfg.seed ^ DRAW_SEED_MIX);
-    let mut ev: EventQueue<Ev> = EventQueue::new();
+
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
+        self.policy.offer(self.qm, flow, packet)
+    }
+
+    fn home(&self, _flow: FlowId) -> usize {
+        0
+    }
+
+    fn engine(&mut self, _shard: usize) -> &mut QueueManager {
+        self.qm
+    }
+
+    fn depth(&self, flow: FlowId) -> u32 {
+        self.qm.queue_len_segments(flow)
+    }
+
+    fn occupancy(&self) -> u32 {
+        self.qm.occupied_segments()
+    }
+}
+
+/// Global admission: one `policy` over every shard of `engine`, each
+/// shard drained by its own egress server.
+struct Global<'a, G: ?Sized> {
+    engine: &'a mut ShardedQueueManager,
+    policy: &'a mut G,
+    shard_of_flow: &'a [usize],
+}
+
+impl<G: GlobalDropPolicy + ?Sized> Admit for Global<'_, G> {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn offer(&mut self, flow: FlowId, packet: &[u8]) -> Result<Admission, Refusal> {
+        self.policy.offer_global(self.engine, flow, packet)
+    }
+
+    fn home(&self, flow: FlowId) -> usize {
+        self.shard_of_flow[flow.as_usize()]
+    }
+
+    fn engine(&mut self, shard: usize) -> &mut QueueManager {
+        self.engine.shard_mut(shard)
+    }
+
+    fn depth(&self, flow: FlowId) -> u32 {
+        self.engine.shard(self.home(flow)).queue_len_segments(flow)
+    }
+
+    fn occupancy(&self) -> u32 {
+        self.engine.used_segments()
+    }
+}
+
+/// The finite-trace loop behind every [`PipelineBuilder`] shape:
+/// `arrivals` (in time order) are offered through `adm`, and one egress
+/// server per entry of `scheds` drains its engine through that
+/// scheduler, each service priced by `egress`.
+///
+/// Processing an arrival schedules its successor before any service it
+/// starts, so event order — and with it every report and digest — is a
+/// pure function of the inputs. The loop runs until the backlog has
+/// fully drained, so admitted ≡ delivered + evicted at return; the
+/// returned state holds the finished report.
+fn run_trace<A, S>(
+    cfg: &PipelineConfig,
+    mut arrivals: impl Iterator<Item = ArrivalEvent>,
+    adm: &mut A,
+    scheds: &mut [S],
+    mut egress: Egress<'_>,
+) -> LoopState
+where
+    A: Admit + ?Sized,
+    S: FlowScheduler,
+{
     // Per-flow report, per-flow ledger (one Slot per buffered packet;
     // per-flow queues are FIFO, so admissions push at the back,
     // evictions pop at the front, service pops at the front) and the
     // scratch payload buffer, shared with the streaming service loops.
-    let mut st = LoopState::new(flows, cfg.sizes.max_bytes()).with_telemetry(cfg.telemetry);
-    let mut server_busy = false;
-
-    let first = arrivals.next_arrival();
-    if first <= cfg.duration {
-        ev.schedule(first, Ev::Arrival);
+    let mut st =
+        LoopState::new(cfg.mix.flows(), cfg.sizes.max_bytes()).with_telemetry(cfg.telemetry);
+    let mut ev: EventQueue<Ev> = EventQueue::new();
+    let mut busy = vec![false; scheds.len()];
+    if let Some(first) = arrivals.next() {
+        ev.schedule(first.at, Ev::Arrival(first));
     }
-
     while let Some((now, event)) = ev.pop() {
-        match event {
-            Ev::Arrival => {
-                let (flow, size, marker) = stream.next_packet();
-                st.arrival(&mut qm, policy, now, flow, size as usize, marker);
-                let next = arrivals.next_arrival();
-                if next <= cfg.duration {
-                    ev.schedule(next, Ev::Arrival);
+        let shard = match event {
+            Ev::Arrival(a) => {
+                st.arrival(adm, now, a.flow, a.size as usize, a.marker);
+                if let Some(next) = arrivals.next() {
+                    ev.schedule(next.at, Ev::Arrival(next));
                 }
-                if !server_busy {
-                    server_busy = start_service(
-                        &mut qm,
-                        sched,
-                        &mut st.ledger,
-                        &mut ev,
-                        egress,
-                        &mut st.report.integrity_violations,
-                        &mut st.tel,
-                        |flow, bytes, enqueued_at| Ev::TxDone {
-                            shard: 0,
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
+                let shard = adm.home(a.flow);
+                if busy[shard] {
+                    continue;
                 }
+                shard
             }
             Ev::TxDone {
+                shard,
                 flow,
                 bytes,
                 enqueued_at,
-                ..
             } => {
                 st.delivery(now, flow, bytes, enqueued_at);
-                server_busy = start_service(
-                    &mut qm,
-                    sched,
-                    &mut st.ledger,
-                    &mut ev,
-                    egress,
-                    &mut st.report.integrity_violations,
-                    &mut st.tel,
-                    |flow, bytes, enqueued_at| Ev::TxDone {
-                        shard: 0,
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
+                shard
             }
-        }
+        };
+        busy[shard] = start_service(
+            adm.engine(shard),
+            &mut scheds[shard],
+            &mut st,
+            &mut ev,
+            &mut egress,
+            |flow, bytes, enqueued_at| Ev::TxDone {
+                shard,
+                flow,
+                bytes,
+                enqueued_at,
+            },
+        );
     }
-
     st.finish(ev.now());
-    debug_assert!(
-        qm.verify().is_ok(),
-        "engine invariants violated after drain"
-    );
-    st.report
+    st
 }
 
 /// Asks the scheduler for the next flow and, if one is ready, dequeues
-/// its head packet, verifies it against the ledger (length and marker
+/// its head packet, verifies it against `st`'s ledger (length and marker
 /// byte) and schedules a transmit-done event (built by `mk_txdone` from
 /// `(flow, bytes, enqueued_at)`) after the service time `egress` prices
 /// for it. Returns whether the server is now busy. Generic over the
-/// event type so the dense loop, the per-shard loops, the coupled
-/// global-admission loop and the streaming service loops share one
-/// service path.
-#[allow(clippy::too_many_arguments)]
+/// event type so the finite-trace loop and the streaming service loops
+/// share one service path.
 pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     qm: &mut QueueManager,
     sched: &mut S,
-    ledger: &mut [VecDeque<Slot>],
+    st: &mut LoopState,
     ev: &mut EventQueue<E>,
     egress: &mut Egress<'_>,
-    integrity_violations: &mut u64,
-    tel: &mut Option<Telemetry>,
     mk_txdone: impl FnOnce(FlowId, u32, Picos) -> E,
 ) -> bool {
     let Some(flow) = sched.next_flow(qm) else {
@@ -491,14 +494,14 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
         .dequeue_packet(flow)
         .expect("scheduler picked a ready flow");
     sched.served(flow, pkt.len());
-    let slot = ledger[flow.as_usize()]
+    let slot = st.ledger[flow.as_usize()]
         .pop_front()
         .expect("served packet must be in the ledger");
     if pkt.len() as u32 != slot.len || pkt[0] != slot.marker {
-        *integrity_violations += 1;
+        st.tear(flow);
     }
     let tx = egress.tx_time(qm, pkt.len());
-    if let Some(t) = tel {
+    if let Some(t) = &mut st.tel {
         // The scheduler decision and (in memory-timed mode) the modeled
         // service cost, stamped at the service start instant.
         t.record_sched_select(ev.now(), flow);
@@ -510,7 +513,7 @@ pub(crate) fn start_service<S: FlowScheduler + ?Sized, E>(
     true
 }
 
-/// Outcome of a [`run_sharded_pipeline`] run: the per-shard closed-loop
+/// Outcome of a [`PipelineBuilder`] run: the per-shard closed-loop
 /// reports plus their aggregate.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedPipelineReport {
@@ -586,365 +589,155 @@ pub(crate) fn assemble_sharded_report(
     }
 }
 
-/// Runs the closed loop against a **sharded** engine: arrivals are routed
-/// to their home shard, admitted by that shard's own [`DropPolicy`]
-/// (shard-local thresholds), and each shard drains through its own
-/// [`FlowScheduler`] and egress server at `cfg.egress_gbps / num_shards`.
-/// The *aggregate* line capacity equals the dense pipeline's, but it is
-/// statically partitioned, exactly like per-engine line cards: a shard
-/// whose egress idles (e.g. the hash homed no flow of a small mix on it)
-/// cannot lend its capacity to a loaded shard, so sharded goodput can
-/// trail the dense pipeline's under skew — that partitioning penalty is
-/// part of what the per-shard reports make visible.
-///
-/// Because shard-local admission couples nothing across shards, the run
-/// factorizes into one self-contained closed loop per shard over a
-/// pregenerated offered trace. With `parallel == false` the loops run
-/// sequentially on the calling thread; with `parallel == true` each
-/// shard's loop runs on its own `std::thread::scope` worker. **The two
-/// modes produce byte-identical reports** — same loops, same inputs,
-/// merged in shard order — which the `sharded_pipeline_parallel_*`
-/// property tests assert and the CI `parallel-determinism` stage diffs
-/// end to end. For the shared-buffer admission mode that *does* couple
-/// shards, see [`run_sharded_pipeline_global_lqd`].
-///
-/// `mk_policy(shard)` and `mk_sched(shard)` build each shard's policy and
-/// scheduler. Each shard keeps a per-packet marker/length ledger over its
-/// own flows (a flow lives in exactly one shard), so torn or
-/// cross-linked frames are detected exactly as in the dense loop.
-///
-/// Arrivals stop at `cfg.duration`; every shard then drains its backlog,
-/// so per shard and in aggregate
-/// `offered == delivered + dropped + evicted` at return.
-///
-/// # Panics
-///
-/// Panics if the flow mix draws flows outside the engine's flow table,
-/// the egress rate is not positive, or the per-shard buffer would be
-/// empty.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::shards + parallel")]
-pub fn run_sharded_pipeline<P, S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    parallel: bool,
-    mk_policy: impl FnMut(usize) -> P,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
-    P: DropPolicy + Send,
-    S: FlowScheduler + Send,
-{
-    sharded_impl(cfg, num_shards, parallel, mk_policy, mk_sched)
+/// The home shard of each of `flows` flows.
+fn home_shards(engine: &ShardedQueueManager, flows: u32) -> Vec<usize> {
+    (0..flows)
+        .map(|f| engine.shard_of(FlowId::new(f)))
+        .collect()
 }
 
-/// The shard-local sharded loop behind
-/// [`PipelineBuilder`](crate::PipelineBuilder) (and the deprecated
-/// `run_sharded_pipeline` wrapper); see the wrapper's doc above for the
-/// full determinism contract.
-pub(crate) fn sharded_impl<P, S>(
+/// Runs shard-local admission over `engine`: shard `s` admits through
+/// `policies[s]` and drains through `scheds[s]`. One shard draws its
+/// arrivals lazily, so it never holds the offered trace in memory, and
+/// may price egress with `timing`'s memory model. More shards each
+/// replay their slice of one pregenerated trace in a self-contained
+/// loop, which is what lets them run on their own threads when
+/// `parallel`.
+pub(crate) fn run_local<P, S>(
     cfg: &PipelineConfig,
-    num_shards: usize,
+    engine: &mut ShardedQueueManager,
     parallel: bool,
-    mk_policy: impl FnMut(usize) -> P,
-    mk_sched: impl FnMut(usize) -> S,
+    policies: &mut [P],
+    scheds: &mut [S],
+    timing: Option<TimingConfig>,
 ) -> ShardedPipelineReport
 where
     P: DropPolicy + Send,
     S: FlowScheduler + Send,
 {
     let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-
-    let mut engine = ShardedQueueManager::partitioned(cfg.qm, num_shards)
-        .expect("per-shard buffer must be non-empty");
-    let mut policies: Vec<P> = (0..num_shards).map(mk_policy).collect();
-    let mut scheds: Vec<S> = (0..num_shards).map(mk_sched).collect();
-    let per_shard_gbps = cfg.egress_gbps / num_shards as f64;
-
-    let shard_of_flow: Vec<usize> = (0..flows)
-        .map(|f| engine.shard_of(FlowId::new(f)))
-        .collect();
-    // One shared trace, partitioned by *index*: every shard borrows the
-    // same arrival storage and walks its own index list, so peak memory
-    // is O(trace), not O(shards × trace).
-    let trace = generate_trace(cfg);
-    let idx = partition_indices(&trace, &shard_of_flow, num_shards);
-    let trace = &trace[..];
-
-    let shard_reports: Vec<PipelineReport> = if parallel && num_shards > 1 {
-        thread::scope(|sc| {
-            let handles: Vec<_> = engine
-                .shards_mut()
-                .iter_mut()
-                .zip(policies.iter_mut())
-                .zip(scheds.iter_mut())
-                .zip(idx.iter())
-                .map(|(((qm, policy), sched), ix)| {
-                    sc.spawn(move || {
-                        run_trace_shard(cfg, trace, ix, qm, policy, sched, per_shard_gbps)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a shard loop panicked"))
-                .collect()
-        })
+    let n = engine.num_shards();
+    let shard_of_flow = home_shards(engine, flows);
+    let reports: Vec<PipelineReport> = if n == 1 {
+        let qm = engine.shard_mut(0);
+        let mut model = timing.map(PaperTiming::new);
+        qm.set_tracing(model.is_some());
+        let egress = match &mut model {
+            Some(model) => Egress::Memory(model),
+            None => Egress::Line(cfg.egress_gbps),
+        };
+        let policy = &mut policies[0];
+        let st = run_trace(
+            cfg,
+            offered_trace(cfg),
+            &mut Local { qm, policy },
+            scheds,
+            egress,
+        );
+        vec![st.report]
     } else {
-        engine
+        // One shared trace, partitioned by *index*: every shard borrows
+        // the same arrival storage and walks its own index list, so peak
+        // memory is O(trace), not O(shards × trace).
+        let trace: Vec<ArrivalEvent> = offered_trace(cfg).collect();
+        let idx = partition_indices(&trace, &shard_of_flow, n);
+        let trace = &trace[..];
+        let gbps = cfg.egress_gbps / n as f64;
+        let run_shard = |(((qm, policy), sched), ix): (((_, _), _), &Vec<u32>)| {
+            let arrivals = ix.iter().map(|&i| trace[i as usize]);
+            let scheds = std::slice::from_mut(sched);
+            run_trace(
+                cfg,
+                arrivals,
+                &mut Local { qm, policy },
+                scheds,
+                Egress::Line(gbps),
+            )
+            .report
+        };
+        let shards = engine
             .shards_mut()
             .iter_mut()
             .zip(policies.iter_mut())
             .zip(scheds.iter_mut())
-            .zip(idx.iter())
-            .map(|(((qm, policy), sched), ix)| {
-                run_trace_shard(cfg, trace, ix, qm, policy, sched, per_shard_gbps)
+            .zip(&idx);
+        if parallel {
+            thread::scope(|sc| {
+                let handles: Vec<_> = shards.map(|job| sc.spawn(move || run_shard(job))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a shard loop panicked"))
+                    .collect()
             })
-            .collect()
+        } else {
+            shards.map(run_shard).collect()
+        }
     };
-
     debug_assert!(
         engine.verify().is_ok(),
         "cross-shard invariants violated after drain"
     );
-    assemble_sharded_report(shard_reports, shard_of_flow, flows)
+    assemble_sharded_report(reports, shard_of_flow, flows)
 }
 
-/// Runs the sharded closed loop under **global** admission: one
-/// [`GlobalLqd`] policy over the whole engine, emulating the paper's
-/// shared data memory across partitioned engines. The engine is built in
-/// the shared-buffer pairing ([`ShardedQueueManager::new`], each shard
-/// configured with the full buffer) and the policy's budget equals
-/// `cfg.qm.num_segments()` — the *same* aggregate buffer the dense
-/// pipeline and the shard-local sharded pipeline manage, so the three
-/// are directly comparable. Egress stays statically partitioned at
-/// `cfg.egress_gbps / num_shards` per shard, exactly as in
-/// [`run_sharded_pipeline`]: only the buffer is shared.
-///
-/// Because an arrival on one shard can evict the longest queue of
-/// *another* shard, the shards are coupled and the loop runs as one
-/// interleaved discrete-event simulation on the calling thread (there is
-/// deliberately no parallel mode; the run is still a pure function of
-/// `cfg`). Push-out victims are charged to their own home shard's
-/// report.
-///
-/// # Panics
-///
-/// Panics if the flow mix draws flows outside the engine's flow table or
-/// the egress rate is not positive.
-#[deprecated(note = "use npqm_traffic::PipelineBuilder::admission_global_lqd")]
-pub fn run_sharded_pipeline_global_lqd<S>(
+/// Runs global admission: `policy` guards every shard of `engine` as one
+/// shared buffer, so an arrival may push out a queue on any shard and
+/// the shards run as one interleaved loop (each still drained by its own
+/// `scheds` entry at `cfg.egress_gbps / shards`). One telemetry recorder
+/// observes the whole engine; push-out victims and torn frames are
+/// charged to their flow's home shard.
+pub(crate) fn run_global<G, S>(
     cfg: &PipelineConfig,
-    num_shards: usize,
-    reserve_segments: u32,
-    mk_sched: impl FnMut(usize) -> S,
+    engine: &mut ShardedQueueManager,
+    policy: &mut G,
+    scheds: &mut [S],
 ) -> ShardedPipelineReport
 where
-    S: FlowScheduler,
-{
-    global_lqd_impl(cfg, num_shards, reserve_segments, mk_sched)
-}
-
-/// The coupled shared-buffer loop behind
-/// [`PipelineBuilder::admission_global_lqd`](crate::PipelineBuilder::admission_global_lqd).
-pub(crate) fn global_lqd_impl<S>(
-    cfg: &PipelineConfig,
-    num_shards: usize,
-    reserve_segments: u32,
-    mk_sched: impl FnMut(usize) -> S,
-) -> ShardedPipelineReport
-where
+    G: GlobalDropPolicy + ?Sized,
     S: FlowScheduler,
 {
     let flows = cfg.mix.flows();
-    assert!(
-        flows <= cfg.qm.num_flows(),
-        "flow mix draws flows outside the engine's flow table"
-    );
-    assert!(cfg.egress_gbps > 0.0, "egress rate must be positive");
-
-    // Shared-buffer pairing: every shard can physically hold the whole
-    // budget, so the global LQD budget is the only binding constraint.
-    let mut engine = ShardedQueueManager::new(cfg.qm, num_shards);
-    let mut policy = GlobalLqd::new(cfg.qm.num_segments(), reserve_segments);
-    let mut scheds: Vec<S> = (0..num_shards).map(mk_sched).collect();
-    let per_shard_gbps = cfg.egress_gbps / num_shards as f64;
-
-    let shard_of_flow: Vec<usize> = (0..flows)
-        .map(|f| engine.shard_of(FlowId::new(f)))
-        .collect();
-    let trace = generate_trace(cfg);
-
-    let mut ev: EventQueue<Ev> = EventQueue::new();
-    let mut shards: Vec<PipelineReport> = (0..num_shards)
-        .map(|_| PipelineReport {
-            flows: (0..flows).map(|_| FlowReport::default()).collect(),
-            ..PipelineReport::default()
+    let n = engine.num_shards();
+    let shard_of_flow = home_shards(engine, flows);
+    let egress = Egress::Line(cfg.egress_gbps / n as f64);
+    let mut adm = Global {
+        engine,
+        policy,
+        shard_of_flow: &shard_of_flow,
+    };
+    let mut st = run_trace(cfg, offered_trace(cfg), &mut adm, scheds, egress);
+    let engine = adm.engine;
+    let telemetry = st.report.telemetry.take().map(|mut t| {
+        let mut reg = MetricsRegistry::new();
+        reg.record_qm("qm.", &engine.stats());
+        reg.record_event_counts("trace.", t.counts());
+        t.set_final_metrics(reg);
+        TelemetryReport::merge([(0u32, &t)])
+    });
+    let shards = (0..n)
+        .map(|s| {
+            let mut sr = PipelineReport {
+                makespan: st.report.makespan,
+                ..PipelineReport::default()
+            };
+            for (f, fr) in st.report.flows.iter().enumerate() {
+                if shard_of_flow[f] == s {
+                    sr.flows.push(fr.clone());
+                    sr.integrity_violations += st.torn.get(f).copied().unwrap_or(0);
+                } else {
+                    sr.flows.push(FlowReport::default());
+                }
+            }
+            sr.fold_flows();
+            sr
         })
         .collect();
-    let mut ledger: Vec<VecDeque<Slot>> = (0..flows).map(|_| VecDeque::new()).collect();
-    let mut payload = vec![0xA5u8; cfg.sizes.max_bytes() as usize];
-    let mut next_arrival = 0usize;
-    let mut server_busy = vec![false; num_shards];
-    let mut egress = Egress::Line(per_shard_gbps);
-    // The coupled loop is inherently serial, so one recorder observes
-    // the whole engine (merged below under shard tag 0).
-    let mut tel: Option<Telemetry> = cfg.telemetry.map(Telemetry::new);
-
-    if let Some(first) = trace.first() {
-        ev.schedule(first.at, Ev::Arrival);
-    }
-
-    while let Some((now, event)) = ev.pop() {
-        match event {
-            Ev::Arrival => {
-                let ArrivalEvent {
-                    flow, size, marker, ..
-                } = trace[next_arrival];
-                next_arrival += 1;
-                let size = size as usize;
-                let shard = shard_of_flow[flow.as_usize()];
-                payload[0] = marker;
-                shards[shard].flows[flow.as_usize()].offered_pkts += 1;
-                shards[shard].flows[flow.as_usize()].offered_bytes += size as u64;
-                let (evicted, admitted, refused) =
-                    match policy.offer_global(&mut engine, flow, &payload[..size]) {
-                        Ok(admission) => (admission.evicted, true, None),
-                        Err(refusal) => (refusal.evicted, false, Some(refusal.reason)),
-                    };
-                for (victim, bytes) in evicted {
-                    // Global push-out: the victim may live on any shard;
-                    // charge its own home shard's report.
-                    let vshard = shard_of_flow[victim.as_usize()];
-                    let slot = ledger[victim.as_usize()]
-                        .pop_front()
-                        .expect("evicted packet must be in the ledger");
-                    if slot.len != bytes {
-                        shards[vshard].integrity_violations += 1;
-                    }
-                    shards[vshard].flows[victim.as_usize()].evicted_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        let depth = engine.shard_mut(vshard).queue_len_segments(victim);
-                        let occ: u32 = engine
-                            .shards_mut()
-                            .iter()
-                            .map(|q| q.occupied_segments())
-                            .sum();
-                        t.record_evict(now, policy.name(), victim, bytes, depth, occ);
-                    }
-                }
-                if admitted {
-                    ledger[flow.as_usize()].push_back(Slot {
-                        enqueued_at: now,
-                        len: size as u32,
-                        marker,
-                    });
-                    shards[shard].flows[flow.as_usize()].admitted_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        t.record_admit(now, flow, size as u32);
-                    }
-                } else {
-                    shards[shard].flows[flow.as_usize()].dropped_pkts += 1;
-                    if let Some(t) = &mut tel {
-                        let reason = refused.expect("refusal carries its reason");
-                        let depth = engine.shard_mut(shard).queue_len_segments(flow);
-                        let occ: u32 = engine
-                            .shards_mut()
-                            .iter()
-                            .map(|q| q.occupied_segments())
-                            .sum();
-                        t.record_drop(now, policy.name(), reason, flow, size as u32, depth, occ);
-                    }
-                }
-                if let Some(next) = trace.get(next_arrival) {
-                    ev.schedule(next.at, Ev::Arrival);
-                }
-                if !server_busy[shard] {
-                    server_busy[shard] = start_service(
-                        engine.shard_mut(shard),
-                        &mut scheds[shard],
-                        &mut ledger,
-                        &mut ev,
-                        &mut egress,
-                        &mut shards[shard].integrity_violations,
-                        &mut tel,
-                        |flow, bytes, enqueued_at| Ev::TxDone {
-                            shard,
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
-                }
-            }
-            Ev::TxDone {
-                shard,
-                flow,
-                bytes,
-                enqueued_at,
-            } => {
-                let fr = &mut shards[shard].flows[flow.as_usize()];
-                fr.delivered_pkts += 1;
-                fr.delivered_bytes += bytes as u64;
-                fr.latency_ns.push((now - enqueued_at).as_nanos_f64());
-                if let Some(t) = &mut tel {
-                    t.record_deliver(now, flow, bytes, (now - enqueued_at).as_u64() / 1000);
-                }
-                server_busy[shard] = start_service(
-                    engine.shard_mut(shard),
-                    &mut scheds[shard],
-                    &mut ledger,
-                    &mut ev,
-                    &mut egress,
-                    &mut shards[shard].integrity_violations,
-                    &mut tel,
-                    |flow, bytes, enqueued_at| Ev::TxDone {
-                        shard,
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
-            }
-        }
-    }
-
-    let makespan = ev.now();
-    for sr in &mut shards {
-        sr.makespan = makespan;
-        let flows = std::mem::take(&mut sr.flows);
-        for fr in &flows {
-            sr.offered_pkts += fr.offered_pkts;
-            sr.offered_bytes += fr.offered_bytes;
-            sr.dropped_pkts += fr.dropped_pkts;
-            sr.evicted_pkts += fr.evicted_pkts;
-            sr.delivered_pkts += fr.delivered_pkts;
-            sr.delivered_bytes += fr.delivered_bytes;
-            sr.latency_ns.merge(&fr.latency_ns);
-        }
-        sr.flows = flows;
-    }
     debug_assert!(
         engine.verify().is_ok(),
         "cross-shard invariants violated after drain"
     );
     let mut rep = assemble_sharded_report(shards, shard_of_flow, flows);
-    rep.telemetry = tel.map(|mut t| {
-        let mut reg = npqm_core::telemetry::MetricsRegistry::new();
-        let mut qm_total = npqm_core::QmStats::default();
-        for qm in engine.shards_mut().iter() {
-            qm_total.absorb(qm.stats());
-        }
-        reg.record_qm("qm.", &qm_total);
-        let counts = *t.counts();
-        reg.record_event_counts("trace.", &counts);
-        t.set_final_metrics(reg);
-        TelemetryReport::merge([(0u32, &t)])
-    });
+    rep.telemetry = telemetry;
     rep
 }
 
@@ -966,43 +759,47 @@ pub struct PolicyOutcome {
 /// `1/flows` of the data memory), which is exactly the configuration the
 /// shared-buffer policies are meant to beat under bursty skewed load.
 pub fn compare_policies(cfg: &PipelineConfig) -> Vec<PolicyOutcome> {
-    let flows = cfg.mix.flows() as usize;
-    let per_flow_cap = cfg.qm.data_bytes() / flows as u64;
-    let mut tail_drop = BufferManager::new(
+    fn outcome<P: DropPolicy + Clone + Send + 'static>(
+        cfg: &PipelineConfig,
+        policy: P,
+    ) -> PolicyOutcome {
+        PolicyOutcome {
+            policy: policy.name().to_string(),
+            report: PipelineBuilder::new(cfg)
+                .admission(move |_| policy.clone())
+                .run()
+                .aggregate,
+        }
+    }
+    let per_flow_cap = cfg.qm.data_bytes() / u64::from(cfg.mix.flows());
+    let tail_drop = BufferManager::new(
         FlowLimits {
             max_bytes: per_flow_cap,
             max_packets: u32::MAX,
         },
         0,
     );
-    let mut lqd = LongestQueueDrop::new(0);
-    let mut dt = DynamicThreshold::new(2.0);
-    let policies: [&mut dyn DropPolicy; 3] = [&mut tail_drop, &mut lqd, &mut dt];
-    policies
-        .into_iter()
-        .map(|policy| {
-            let mut sched = DeficitRoundRobin::new(vec![1518; flows]);
-            let name = policy.name().to_string();
-            let report = dense_impl(cfg, policy, &mut sched);
-            PolicyOutcome {
-                policy: name,
-                report,
-            }
-        })
-        .collect()
+    vec![
+        outcome(cfg, tail_drop),
+        outcome(cfg, LongestQueueDrop::new(0)),
+        outcome(cfg, DynamicThreshold::new(2.0)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npqm_core::sched::StrictPriority;
+    use npqm_core::sched::{DeficitRoundRobin, StrictPriority};
+    use npqm_core::shard::parallel::GlobalLqd;
+
+    fn lqd(cfg: &PipelineConfig) -> PipelineBuilder {
+        PipelineBuilder::new(cfg).admission(|_| LongestQueueDrop::new(0))
+    }
 
     #[test]
     fn conservation_and_integrity_under_light_load() {
         let cfg = PipelineConfig::small_demo(11);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = lqd(&cfg).run().aggregate;
         assert!(r.offered_pkts > 0);
         assert_eq!(
             r.offered_pkts,
@@ -1021,9 +818,7 @@ mod tests {
             mean_interval: Picos::from_nanos(20),
         };
         cfg.duration = Picos::from_micros(5);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = lqd(&cfg).run().aggregate;
         assert!(r.dropped_pkts + r.evicted_pkts > 0, "overload must drop");
         assert_eq!(r.integrity_violations, 0);
         assert_eq!(
@@ -1036,13 +831,8 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic() {
         let cfg = PipelineConfig::bursty_overload(3);
-        let run = |seed_cfg: &PipelineConfig| {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            dense_impl(seed_cfg, &mut policy, &mut sched)
-        };
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = PipelineBuilder::new(&cfg).run().aggregate;
+        let b = PipelineBuilder::new(&cfg).run().aggregate;
         assert_eq!(a.delivered_pkts, b.delivered_pkts);
         assert_eq!(a.delivered_bytes, b.delivered_bytes);
         assert_eq!(a.makespan, b.makespan);
@@ -1051,9 +841,11 @@ mod tests {
     #[test]
     fn works_with_any_scheduler() {
         let cfg = PipelineConfig::small_demo(9);
-        let mut policy = DynamicThreshold::new(1.0);
-        let mut sched = StrictPriority::new(4);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = PipelineBuilder::new(&cfg)
+            .admission(|_| DynamicThreshold::new(1.0))
+            .egress(|_| StrictPriority::new(4))
+            .run()
+            .aggregate;
         assert_eq!(r.integrity_violations, 0);
         assert_eq!(
             r.offered_pkts,
@@ -1092,13 +884,7 @@ mod tests {
     #[test]
     fn sharded_pipeline_conserves_per_shard_and_aggregate() {
         let cfg = PipelineConfig::bursty_overload(21);
-        let r = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
+        let r = PipelineBuilder::new(&cfg).shards(4).run();
         assert_eq!(r.shards.len(), 4);
         assert!(r.aggregate.offered_pkts > 0);
         assert!(
@@ -1123,13 +909,7 @@ mod tests {
     #[test]
     fn sharded_pipeline_routes_flows_to_their_home_shard_only() {
         let cfg = PipelineConfig::bursty_overload(8);
-        let r = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| LongestQueueDrop::new(0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
+        let r = lqd(&cfg).shards(4).run();
         for (f, &home) in r.shard_of_flow.iter().enumerate() {
             for (s, sr) in r.shards.iter().enumerate() {
                 if s != home {
@@ -1144,23 +924,24 @@ mod tests {
 
     #[test]
     fn one_shard_pipeline_matches_the_dense_pipeline() {
+        // One shard draws its arrivals lazily; more shards replay a
+        // pregenerated trace. Replaying the collected trace through the
+        // same loop must reproduce the lazy run byte for byte.
         let cfg = PipelineConfig::bursty_overload(5);
-        let sharded = sharded_impl(
-            &cfg,
-            1,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
+        let lazy = PipelineBuilder::new(&cfg).run();
+        let trace: Vec<ArrivalEvent> = offered_trace(&cfg).collect();
+        let mut qm = QueueManager::new(cfg.qm);
+        let mut adm = Local {
+            qm: &mut qm,
+            policy: &mut DynamicThreshold::new(2.0),
+        };
+        let mut scheds = [DeficitRoundRobin::new(vec![1518; 16])];
+        let egress = Egress::Line(cfg.egress_gbps);
+        let replayed = run_trace(&cfg, trace.into_iter(), &mut adm, &mut scheds, egress);
+        assert_eq!(
+            format!("{:?}", replayed.report),
+            format!("{:?}", lazy.shards[0])
         );
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let dense = dense_impl(&cfg, &mut policy, &mut sched);
-        let a = &sharded.aggregate;
-        assert_eq!(a.offered_pkts, dense.offered_pkts);
-        assert_eq!(a.dropped_pkts, dense.dropped_pkts);
-        assert_eq!(a.delivered_pkts, dense.delivered_pkts);
-        assert_eq!(a.delivered_bytes, dense.delivered_bytes);
-        assert_eq!(a.makespan, dense.makespan);
     }
 
     #[test]
@@ -1171,20 +952,8 @@ mod tests {
         // covers every field, including the per-flow latency moments.
         for seed in [3u64, 21, 42, 99] {
             let cfg = PipelineConfig::bursty_overload(seed);
-            let serial = sharded_impl(
-                &cfg,
-                4,
-                false,
-                |_| LongestQueueDrop::new(0),
-                |_| DeficitRoundRobin::new(vec![1518; 16]),
-            );
-            let parallel = sharded_impl(
-                &cfg,
-                4,
-                true,
-                |_| LongestQueueDrop::new(0),
-                |_| DeficitRoundRobin::new(vec![1518; 16]),
-            );
+            let serial = lqd(&cfg).shards(4).run();
+            let parallel = lqd(&cfg).shards(4).parallel(true).run();
             assert_eq!(
                 format!("{serial:?}"),
                 format!("{parallel:?}"),
@@ -1196,7 +965,10 @@ mod tests {
     #[test]
     fn global_lqd_pipeline_conserves_and_never_tears() {
         let cfg = PipelineConfig::bursty_overload(21);
-        let r = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
+        let r = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
         assert_eq!(r.shards.len(), 4);
         assert!(r.aggregate.offered_pkts > 0);
         assert!(
@@ -1219,6 +991,53 @@ mod tests {
     }
 
     #[test]
+    fn traced_global_lqd_reconciles_with_the_untraced_run() {
+        let cfg = PipelineConfig::bursty_overload(21);
+        let untraced = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
+        let mut traced_cfg = cfg.clone();
+        traced_cfg.telemetry = Some(TelemetryConfig::default());
+        let mut engine = ShardedQueueManager::new(cfg.qm, 4);
+        let mut policy = GlobalLqd::new(cfg.qm.num_segments(), 0);
+        let mut scheds: Vec<_> = (0..4)
+            .map(|_| DeficitRoundRobin::new(vec![1518; 16]))
+            .collect();
+        let traced = run_global(&traced_cfg, &mut engine, &mut policy, &mut scheds);
+        // Telemetry is behaviour-neutral: every report is unchanged.
+        assert_eq!(
+            format!("{:?}", traced.aggregate),
+            format!("{:?}", untraced.aggregate)
+        );
+        assert_eq!(
+            format!("{:?}", traced.shards),
+            format!("{:?}", untraced.shards)
+        );
+        let tel = traced.telemetry.expect("traced run carries telemetry");
+        let a = &traced.aggregate;
+        assert!(a.evicted_pkts > 0, "overload must push out");
+        // The drop taxonomy reconciles exactly with the loss counters.
+        assert_eq!(tel.refused_pkts, a.dropped_pkts);
+        assert_eq!(tel.evicted_pkts, a.evicted_pkts);
+        let rows: u64 = tel.taxonomy.iter().map(|r| r.bucket.count).sum();
+        assert_eq!(rows, a.dropped_pkts + a.evicted_pkts);
+        assert_eq!(tel.counts.deliveries, a.delivered_pkts);
+        // The final qm.* metrics are the summed shard counters.
+        let s = engine.stats();
+        for (name, v) in [
+            ("qm.enqueues", s.enqueues),
+            ("qm.dequeues", s.dequeues),
+            ("qm.pkt_deletes", s.pkt_deletes),
+            ("qm.bytes_in", s.bytes_in),
+            ("qm.bytes_out", s.bytes_out),
+            ("qm.errors", s.errors),
+        ] {
+            assert_eq!(tel.final_metrics.counter_value(name), Some(v), "{name}");
+        }
+    }
+
+    #[test]
     fn global_lqd_beats_shard_local_admission_under_skew() {
         // The motivating comparison: under the Zipf bursty overload, a
         // shared buffer with global LQD push-out delivers at least as
@@ -1227,14 +1046,11 @@ mod tests {
         // idle partitions would otherwise strand. Both runs are pure
         // functions of the seed, so this is a deterministic comparison.
         let cfg = PipelineConfig::bursty_overload(42);
-        let local = sharded_impl(
-            &cfg,
-            4,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        let global = global_lqd_impl(&cfg, 4, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
+        let local = PipelineBuilder::new(&cfg).shards(4).run();
+        let global = PipelineBuilder::new(&cfg)
+            .shards(4)
+            .admission_global_lqd(0)
+            .run();
         assert!(
             global.aggregate.delivered_bytes >= local.aggregate.delivered_bytes,
             "global LQD {} < shard-local C-H {}",
@@ -1243,12 +1059,17 @@ mod tests {
         );
     }
 
+    fn timed(cfg: &PipelineConfig, timing: TimingConfig) -> PipelineReport {
+        PipelineBuilder::new(cfg)
+            .timing_paper(timing)
+            .run()
+            .aggregate
+    }
+
     #[test]
     fn timed_pipeline_conserves_and_never_tears() {
         let cfg = PipelineConfig::bursty_overload(17);
-        let mut policy = DynamicThreshold::new(2.0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let r = timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::paper(8));
+        let r = timed(&cfg, TimingConfig::paper(8));
         assert!(r.offered_pkts > 0);
         assert_eq!(
             r.offered_pkts,
@@ -1262,13 +1083,8 @@ mod tests {
     #[test]
     fn timed_pipeline_is_deterministic() {
         let cfg = PipelineConfig::bursty_overload(9);
-        let run = || {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::naive(4))
-        };
-        let a = run();
-        let b = run();
+        let a = timed(&cfg, TimingConfig::naive(4));
+        let b = timed(&cfg, TimingConfig::naive(4));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -1279,13 +1095,8 @@ mod tests {
         // sixteen banks stripe it — the same offered trace must finish
         // no later and deliver no less.
         let cfg = PipelineConfig::bursty_overload(42);
-        let run = |banks: u32| {
-            let mut policy = DynamicThreshold::new(2.0);
-            let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-            timed_impl(&cfg, &mut policy, &mut sched, &TimingConfig::paper(banks))
-        };
-        let one = run(1);
-        let sixteen = run(16);
+        let one = timed(&cfg, TimingConfig::paper(1));
+        let sixteen = timed(&cfg, TimingConfig::paper(16));
         assert!(
             sixteen.makespan <= one.makespan,
             "16 banks {} vs 1 bank {}",
@@ -1312,82 +1123,20 @@ mod tests {
         cfg.arrivals = ArrivalProcess::Poisson {
             mean_interval: Picos::from_nanos(8_000),
         };
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![9000; 4]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = lqd(&cfg)
+            .egress(|_| DeficitRoundRobin::new(vec![9000; 4]))
+            .run()
+            .aggregate;
         assert!(r.offered_pkts > 0);
         assert_eq!(r.offered_bytes, r.offered_pkts * 9000);
         assert_eq!(r.delivered_bytes, r.delivered_pkts * 9000);
         assert_eq!(r.integrity_violations, 0);
     }
 
-    // Deprecation coverage: each legacy wrapper must keep delegating to
-    // the same loop the builder runs, until the wrappers are removed.
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_pipeline_still_matches_the_dense_loop() {
-        let cfg = PipelineConfig::small_demo(19);
-        let mut p1 = DynamicThreshold::new(2.0);
-        let mut s1 = DeficitRoundRobin::new(vec![1518; 4]);
-        let legacy = run_pipeline(&cfg, &mut p1, &mut s1);
-        let mut p2 = DynamicThreshold::new(2.0);
-        let mut s2 = DeficitRoundRobin::new(vec![1518; 4]);
-        let direct = dense_impl(&cfg, &mut p2, &mut s2);
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_timed_pipeline_still_matches_the_timed_loop() {
-        let cfg = PipelineConfig::small_demo(23);
-        let timing = TimingConfig::paper(4);
-        let mut p1 = DynamicThreshold::new(2.0);
-        let mut s1 = DeficitRoundRobin::new(vec![1518; 4]);
-        let legacy = run_timed_pipeline(&cfg, &mut p1, &mut s1, &timing);
-        let mut p2 = DynamicThreshold::new(2.0);
-        let mut s2 = DeficitRoundRobin::new(vec![1518; 4]);
-        let direct = timed_impl(&cfg, &mut p2, &mut s2, &timing);
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_sharded_pipeline_still_matches_the_sharded_loop() {
-        let cfg = PipelineConfig::bursty_overload(29);
-        let legacy = run_sharded_pipeline(
-            &cfg,
-            2,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        let direct = sharded_impl(
-            &cfg,
-            2,
-            false,
-            |_| DynamicThreshold::new(2.0),
-            |_| DeficitRoundRobin::new(vec![1518; 16]),
-        );
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_global_lqd_wrapper_still_matches_the_coupled_loop() {
-        let cfg = PipelineConfig::bursty_overload(31);
-        let legacy =
-            run_sharded_pipeline_global_lqd(&cfg, 2, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        let direct = global_lqd_impl(&cfg, 2, 0, |_| DeficitRoundRobin::new(vec![1518; 16]));
-        assert_eq!(format!("{legacy:?}"), format!("{direct:?}"));
-    }
-
     #[test]
     fn offered_load_estimate_matches_measurement() {
         let cfg = PipelineConfig::bursty_overload(1);
-        let mut policy = LongestQueueDrop::new(0);
-        let mut sched = DeficitRoundRobin::new(vec![1518; 16]);
-        let r = dense_impl(&cfg, &mut policy, &mut sched);
+        let r = lqd(&cfg).run().aggregate;
         let measured = r.offered_bytes as f64 * 8.0 / cfg.duration.as_nanos_f64();
         assert!(
             (measured / cfg.offered_gbps() - 1.0).abs() < 0.2,

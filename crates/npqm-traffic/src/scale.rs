@@ -33,6 +33,7 @@
 //! [`ShardedQueueManager::verify`] pass.
 
 use crate::flows::FlowMix;
+use crate::pipeline::{fold_ledger, Slot};
 use crate::service::PacketStream;
 use crate::size::SizeDistribution;
 use npqm_core::policy::DynamicThreshold;
@@ -131,8 +132,9 @@ pub const TABLE8_BANKS: [u32; 5] = [1, 2, 4, 8, 16];
 /// stamped into the first payload byte, drawn through the workspace-wide
 /// [`PacketStream`] (flow, then size; marker = sequence number).
 /// [`run_shard_scale`] and [`run_memory_scale`] both draw through this
-/// one function, so their offered traces are identical by construction —
-/// the comparability between `table7` and `table8` rests on it.
+/// one function (in [`run_rounds`]), so their offered traces are
+/// identical by construction — the comparability between `table7` and
+/// `table8` rests on it.
 fn round_arrivals(cfg: &ShardScaleConfig, stream: &mut PacketStream<'_>) -> Vec<(FlowId, Vec<u8>)> {
     (0..cfg.packets_per_round)
         .map(|_| {
@@ -146,8 +148,8 @@ fn round_arrivals(cfg: &ShardScaleConfig, stream: &mut PacketStream<'_>) -> Vec<
 
 /// One round's drain batch: round-robin `Dequeue` passes over every
 /// flow, sized to serve `drain_fraction` of the currently queued
-/// backlog. Shared by both experiments so their drain schedules stay
-/// identical by construction.
+/// backlog. Shared by both experiments (in [`run_rounds`]) so their
+/// drain schedules stay identical by construction.
 fn drain_batch(cfg: &ShardScaleConfig, engine: &ShardedQueueManager) -> Vec<Command> {
     let queued_segments: u64 = (0..engine.num_shards())
         .map(|s| {
@@ -247,9 +249,6 @@ impl ShardScaleRow {
     }
 }
 
-/// Ledger slot for one admitted packet: its length and marker byte.
-type LedgerSlot = (u32, u8);
-
 /// Per-flow reassembly state while draining segment by segment.
 #[derive(Debug, Clone, Default)]
 struct Reassembly {
@@ -258,36 +257,52 @@ struct Reassembly {
     marker: u8,
 }
 
-/// Runs the Zipf/IMIX overload workload on `shards` engines with
-/// `threads` worker threads and measures the composite throughput (see
-/// the [module docs](self)).
-///
-/// The **offered trace** — arrival order, flows, sizes, markers — is a
-/// pure function of `cfg`, identical for every shard count. The
-/// *processed* set is not: shard-local thresholds over the partitioned
-/// buffer admit different packet subsets, and drain batches are sized
-/// from the live backlog. The per-row conservation ledger closes over
-/// whatever each row actually processed, and `segments_per_sec` is rate
-/// (work over busy time), so rows stay comparable; the speedup column
-/// reflects both the critical-path parallelism of independent engines
-/// and the per-shard locality effects (smaller queue tables and
-/// occupancy heaps) that sharding buys.
-///
-/// `threads == 1` runs the serial batch paths; `threads > 1` runs
-/// [`ShardedAdmission::offer_batch_parallel`] and
-/// [`ShardedQueueManager::execute_batch_parallel`], whose results are
-/// byte-identical to serial (only `wall_clock`, the busy-time fields and
-/// `steals` change — the row's `fingerprint` proves it). `wall_clock`
-/// measures the real offer/drain loop, so at `threads ≥ shards` on a
-/// multi-core host it shows the *actual* speedup next to the modeled
-/// critical-path composite.
-///
-/// # Panics
-///
-/// Panics if the per-shard buffer would be empty
-/// (`total_segments / shards == 0`), `threads` is zero, or the
-/// configuration is invalid.
-pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) -> ShardScaleRow {
+/// What [`run_rounds`] leaves behind: the engine, the run's counters
+/// (tallied into a [`ShardScaleRow`] whose end-state fields are still
+/// unset), and the per-packet ledger and reassembly state.
+struct Rounds {
+    engine: ShardedQueueManager,
+    row: ShardScaleRow,
+    ledger: Vec<VecDeque<Slot>>,
+    reasm: Vec<Reassembly>,
+}
+
+impl Rounds {
+    /// Whether the packet and byte ledgers close with `residual_bytes`
+    /// still queued: every admitted packet was delivered or is still in
+    /// the ledger, every admitted byte was drained or is still queued.
+    fn ledger_closes(&self, residual_bytes: u64) -> bool {
+        let row = &self.row;
+        let residual_pkts: u64 = self.ledger.iter().map(|l| l.len() as u64).sum();
+        // A flow mid-reassembly still owns its ledger slot; its drained
+        // segments are in drained_bytes, the rest in residual_bytes — the
+        // byte identity still must close exactly.
+        let pkts_ok = row.admitted_pkts == row.delivered_pkts + residual_pkts;
+        let bytes_ok = row.admitted_bytes == row.drained_bytes + residual_bytes;
+        // A frame mid-reassembly has not reached its EOP, so its admission
+        // ledger slot must still be present (slots pop only at EOP).
+        let in_flight_ok = self
+            .reasm
+            .iter()
+            .zip(&self.ledger)
+            .all(|(r, slots)| !r.in_flight || !slots.is_empty());
+        pkts_ok && bytes_ok && in_flight_ok
+    }
+}
+
+/// The round driver both experiments share. Each of `cfg.rounds` rounds
+/// offers a [`round_arrivals`] batch through shard-local
+/// Choudhury–Hahne admission, tallies it into the per-packet ledger,
+/// serves a [`drain_batch`], reassembles the served segments against the
+/// ledger (counting torn frames), and finally hands the engine to
+/// `per_round`. `tracing` enables the engine's memory-access recording.
+fn run_rounds(
+    cfg: &ShardScaleConfig,
+    shards: usize,
+    threads: usize,
+    tracing: bool,
+    mut per_round: impl FnMut(&mut ShardedQueueManager),
+) -> Rounds {
     let qm_cfg = QmConfig::builder()
         .num_flows(cfg.flows)
         .num_segments(cfg.total_segments)
@@ -296,6 +311,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
         .expect("scale configuration must be valid");
     let mut engine =
         ShardedQueueManager::partitioned(qm_cfg, shards).expect("per-shard buffer is non-empty");
+    engine.set_tracing(tracing);
     let mut adm = ShardedAdmission::from_fn(shards, |_| DynamicThreshold::new(cfg.alpha));
     let mix = FlowMix::zipf(cfg.flows, cfg.zipf_exponent);
     let sizes = SizeDistribution::Imix;
@@ -326,7 +342,7 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
         conserved: false,
         fingerprint: 0,
     };
-    let mut ledger: Vec<VecDeque<LedgerSlot>> = (0..cfg.flows).map(|_| VecDeque::new()).collect();
+    let mut ledger: Vec<VecDeque<Slot>> = (0..cfg.flows).map(|_| VecDeque::new()).collect();
     let mut reasm: Vec<Reassembly> = vec![Reassembly::default(); cfg.flows as usize];
     let seg_bytes = cfg.segment_bytes as usize;
 
@@ -352,7 +368,11 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
                     row.admitted_pkts += 1;
                     row.admitted_bytes += data.len() as u64;
                     row.segments_processed += data.len().div_ceil(seg_bytes) as u64;
-                    ledger[flow.as_usize()].push_back((data.len() as u32, data[0]));
+                    ledger[flow.as_usize()].push_back(Slot {
+                        enqueued_at: Picos::ZERO,
+                        len: data.len() as u32,
+                        marker: data[0],
+                    });
                 }
                 Err(_) => row.dropped_pkts += 1,
             }
@@ -386,8 +406,8 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
                 r.in_flight = false;
                 row.delivered_pkts += 1;
                 match ledger[f].pop_front() {
-                    Some((len, marker)) => {
-                        if len as u64 != r.bytes || marker != r.marker {
+                    Some(slot) => {
+                        if u64::from(slot.len) != r.bytes || slot.marker != r.marker {
                             row.torn_frames += 1;
                         }
                     }
@@ -395,44 +415,67 @@ pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) ->
                 }
             }
         }
+        per_round(&mut engine);
     }
-
     row.wall_clock = wall.elapsed();
-    row.busy = engine.busy_times().to_vec();
-    row.critical_path = engine.critical_path();
-    row.serial_time = engine.serial_time();
-    row.steals = engine.parallel_stats().steals;
+    Rounds {
+        engine,
+        row,
+        ledger,
+        reasm,
+    }
+}
+
+/// Runs the Zipf/IMIX overload workload on `shards` engines with
+/// `threads` worker threads and measures the composite throughput (see
+/// the [module docs](self)).
+///
+/// The **offered trace** — arrival order, flows, sizes, markers — is a
+/// pure function of `cfg`, identical for every shard count. The
+/// *processed* set is not: shard-local thresholds over the partitioned
+/// buffer admit different packet subsets, and drain batches are sized
+/// from the live backlog. The per-row conservation ledger closes over
+/// whatever each row actually processed, and `segments_per_sec` is rate
+/// (work over busy time), so rows stay comparable; the speedup column
+/// reflects both the critical-path parallelism of independent engines
+/// and the per-shard locality effects (smaller queue tables and
+/// occupancy heaps) that sharding buys.
+///
+/// `threads == 1` runs the serial batch paths; `threads > 1` runs
+/// [`ShardedAdmission::offer_batch_parallel`] and
+/// [`ShardedQueueManager::execute_batch_parallel`], whose results are
+/// byte-identical to serial (only `wall_clock`, the busy-time fields and
+/// `steals` change — the row's `fingerprint` proves it). `wall_clock`
+/// measures the real offer/drain loop, so at `threads ≥ shards` on a
+/// multi-core host it shows the *actual* speedup next to the modeled
+/// critical-path composite.
+///
+/// # Panics
+///
+/// Panics if the per-shard buffer would be empty
+/// (`total_segments / shards == 0`), `threads` is zero, or the
+/// configuration is invalid.
+pub fn run_shard_scale(cfg: &ShardScaleConfig, shards: usize, threads: usize) -> ShardScaleRow {
+    let rounds = run_rounds(cfg, shards, threads, false, |_| {});
+    let engine = &rounds.engine;
     let report = engine
         .verify()
         .expect("sharded engine invariants hold after the run");
-    row.residual_bytes = report.payload_bytes;
-    row.ptr_accesses = report.ptr.total();
-    let residual_pkts: u64 = ledger.iter().map(|l| l.len() as u64).sum();
-    // A flow mid-reassembly still owns its ledger slot; its drained
-    // segments are in drained_bytes, the rest in residual_bytes — the
-    // byte identity below still must close exactly.
-    let pkts_ok = row.admitted_pkts == row.delivered_pkts + residual_pkts;
-    let bytes_ok = row.admitted_bytes == row.drained_bytes + row.residual_bytes;
-    // A frame mid-reassembly has not reached its EOP, so its admission
-    // ledger slot must still be present (slots pop only at EOP).
-    let in_flight_ok = reasm
-        .iter()
-        .enumerate()
-        .all(|(f, r)| !r.in_flight || !ledger[f].is_empty());
-    row.conserved = pkts_ok && bytes_ok && in_flight_ok;
+    let conserved = rounds.ledger_closes(report.payload_bytes);
     // Fold the engine state digest with the residual ledger: one value
     // that pins the run's entire deterministic outcome.
-    let fold = npqm_core::check::fnv1a_fold;
-    let mut h = engine.state_digest();
-    for (f, slots) in ledger.iter().enumerate() {
-        for &(len, marker) in slots {
-            h = fold(h, f as u64);
-            h = fold(h, len as u64);
-            h = fold(h, marker as u64);
-        }
+    let fingerprint = fold_ledger(engine.state_digest(), &rounds.ledger);
+    ShardScaleRow {
+        residual_bytes: report.payload_bytes,
+        ptr_accesses: report.ptr.total(),
+        busy: engine.busy_times().to_vec(),
+        critical_path: engine.critical_path(),
+        serial_time: engine.serial_time(),
+        steals: engine.parallel_stats().steals,
+        conserved,
+        fingerprint,
+        ..rounds.row
     }
-    row.fingerprint = h;
-    row
 }
 
 /// Runs [`run_shard_scale`] for each shard count, all on `threads`
@@ -513,7 +556,10 @@ pub struct MemoryScaleRow {
     /// The busiest channel's time — the memory-derived makespan of the
     /// N-engine composite.
     pub modeled_time: Picos,
-    /// Whether `admitted == drained + residual` closed on bytes.
+    /// Whether the run conserved: no torn frames, the per-packet ledger
+    /// closed (`admitted == delivered + residual` packets), every
+    /// admitted byte was drained or is still queued, and every pointer
+    /// access was charged to a memory channel.
     pub conserved: bool,
     /// Engine state digest folded with the modeled channel clocks and
     /// charge totals: one value pinning the run's entire deterministic
@@ -579,111 +625,47 @@ pub fn run_memory_scale(
     threads: usize,
     timing: &TimingConfig,
 ) -> MemoryScaleRow {
-    let qm_cfg = QmConfig::builder()
-        .num_flows(cfg.flows)
-        .num_segments(cfg.total_segments)
-        .segment_bytes(cfg.segment_bytes)
-        .build()
-        .expect("scale configuration must be valid");
-    let mut engine =
-        ShardedQueueManager::partitioned(qm_cfg, shards).expect("per-shard buffer is non-empty");
-    engine.set_tracing(true);
     let mut channels = MemoryChannels::from_fn(shards, |_| PaperTiming::new(*timing));
-    let mut adm = ShardedAdmission::from_fn(shards, |_| DynamicThreshold::new(cfg.alpha));
-    let mix = FlowMix::zipf(cfg.flows, cfg.zipf_exponent);
-    let sizes = SizeDistribution::Imix;
-    let mut stream = PacketStream::new(&mix, &sizes, cfg.seed);
-    assert!(threads > 0, "need at least one worker thread");
-
+    let mut totals = CommandCost::default();
+    // Charge each round's recorded traffic to the per-shard channels.
+    let rounds = run_rounds(cfg, shards, threads, true, |engine| {
+        totals.absorb(&channels.charge_engine(engine).totals);
+    });
+    let engine = &rounds.engine;
+    let report = engine
+        .verify()
+        .expect("sharded engine invariants hold after the run");
+    let tally = &rounds.row;
     let mut row = MemoryScaleRow {
         banks: timing.ddr.banks,
         reordering: timing.reordering,
         shards,
         threads,
-        offered_pkts: 0,
-        admitted_pkts: 0,
-        dropped_pkts: 0,
-        admitted_bytes: 0,
-        drained_bytes: 0,
-        residual_bytes: 0,
-        segments_processed: 0,
-        queue_ops: 0,
-        ptr_accesses: 0,
-        data_reads: 0,
-        data_writes: 0,
-        conflict_slots: 0,
-        turnaround_slots: 0,
-        per_shard_time: Vec::new(),
-        modeled_time: Picos::ZERO,
-        conserved: false,
+        offered_pkts: tally.offered_pkts,
+        admitted_pkts: tally.admitted_pkts,
+        dropped_pkts: tally.dropped_pkts,
+        admitted_bytes: tally.admitted_bytes,
+        drained_bytes: tally.drained_bytes,
+        residual_bytes: report.payload_bytes,
+        segments_processed: tally.segments_processed,
+        queue_ops: engine.stats().total_ops(),
+        ptr_accesses: totals.ptr_accesses,
+        data_reads: totals.data_reads,
+        data_writes: totals.data_writes,
+        conflict_slots: totals.conflict_slots,
+        turnaround_slots: totals.turnaround_slots,
+        per_shard_time: channels.per_channel_elapsed(),
+        modeled_time: channels.elapsed(),
+        // Conservation closes on three ledgers at once: no frame tore and
+        // every admitted packet and byte is delivered or still queued
+        // (as in `run_shard_scale`), and every pointer access the engine
+        // performed was charged to a memory channel (the verify-pass
+        // counters equal the charged totals exactly).
+        conserved: tally.torn_frames == 0
+            && rounds.ledger_closes(report.payload_bytes)
+            && report.ptr.total() == totals.ptr_accesses,
         fingerprint: 0,
     };
-    let mut totals = CommandCost::default();
-    let seg_bytes = cfg.segment_bytes as usize;
-
-    for _ in 0..cfg.rounds {
-        // Offered batch: `round_arrivals` guarantees the identical trace
-        // (order, flows, sizes, payloads) to `run_shard_scale`.
-        let arrivals_owned = round_arrivals(cfg, &mut stream);
-        let arrivals: Vec<(FlowId, &[u8])> = arrivals_owned
-            .iter()
-            .map(|(f, d)| (*f, d.as_slice()))
-            .collect();
-        let admissions = if threads == 1 {
-            adm.offer_batch(&mut engine, &arrivals)
-        } else {
-            adm.offer_batch_parallel(&mut engine, &arrivals, threads)
-        };
-        for (result, (_, data)) in admissions.iter().zip(&arrivals_owned) {
-            row.offered_pkts += 1;
-            match result {
-                Ok(_) => {
-                    row.admitted_pkts += 1;
-                    row.admitted_bytes += data.len() as u64;
-                    row.segments_processed += data.len().div_ceil(seg_bytes) as u64;
-                }
-                Err(_) => row.dropped_pkts += 1,
-            }
-        }
-
-        // Drain batch: `drain_batch` guarantees the identical schedule
-        // to `run_shard_scale`.
-        let drain = drain_batch(cfg, &engine);
-        let served = if threads == 1 {
-            engine.execute_batch(&drain)
-        } else {
-            engine.execute_batch_parallel(&drain, threads)
-        };
-        for result in &served {
-            if let Ok(Outcome::Segment(seg)) = result {
-                row.segments_processed += 1;
-                row.drained_bytes += seg.data.len() as u64;
-            }
-        }
-
-        // Charge the round's recorded traffic to the per-shard channels.
-        let cost = channels.charge_engine(&mut engine);
-        totals.absorb(&cost.totals);
-    }
-
-    let report = engine
-        .verify()
-        .expect("sharded engine invariants hold after the run");
-    row.residual_bytes = report.payload_bytes;
-    row.queue_ops = engine.stats().total_ops();
-    row.ptr_accesses = totals.ptr_accesses;
-    row.data_reads = totals.data_reads;
-    row.data_writes = totals.data_writes;
-    row.conflict_slots = totals.conflict_slots;
-    row.turnaround_slots = totals.turnaround_slots;
-    row.per_shard_time = channels.per_channel_elapsed();
-    row.modeled_time = channels.elapsed();
-    // Conservation closes on two ledgers at once: every admitted byte is
-    // drained or still queued, and every pointer access the engine
-    // performed was charged to a memory channel (the verify-pass
-    // counters equal the charged totals exactly).
-    row.conserved = row.admitted_bytes == row.drained_bytes + row.residual_bytes
-        && report.ptr.total() == row.ptr_accesses;
     let fold = npqm_core::check::fnv1a_fold;
     let mut h = engine.state_digest();
     for &t in &row.per_shard_time {

@@ -48,10 +48,10 @@
 //! are therefore excluded from determinism digests, exactly like steal
 //! counts in `npqm-core`'s parallel executor.
 //!
-//! This module also owns the shared draw primitives
-//! ([`PacketStream`]) and the trace-side per-shard loop the finite
-//! pipeline is re-expressed over, so "run a trace" is now literally
-//! "stream until drained".
+//! This module also owns the shared draw primitives ([`PacketStream`],
+//! the offered trace) and the per-loop bookkeeping the finite pipeline
+//! shares, so a finite trace and a stream admit, evict and deliver
+//! through the same code.
 //!
 //! # Example
 //!
@@ -78,8 +78,8 @@ use crate::arrival::ArrivalGen;
 use crate::arrival::ArrivalProcess;
 use crate::flows::FlowMix;
 use crate::pipeline::{
-    assemble_sharded_report, start_service, Egress, FlowReport, PipelineConfig, PipelineReport,
-    Slot,
+    assemble_sharded_report, fold_ledger, start_service, Admit, Egress, FlowReport, Local,
+    PipelineConfig, PipelineReport, Slot,
 };
 use crate::size::SizeDistribution;
 use npqm_core::check::{fnv1a_fold, state_digest, FNV_OFFSET_BASIS};
@@ -149,28 +149,26 @@ pub(crate) struct ArrivalEvent {
     pub(crate) marker: u8,
 }
 
-/// Pregenerates the offered trace — arrival times, flows, sizes and
-/// marker bytes — as a pure function of `cfg`, drawing from the RNGs in
-/// exactly the order the dense event loop does (arrival time, then flow,
-/// then size, per packet). Sharded runs partition *indices into* this
-/// one trace by home shard, so every shard count and execution mode sees
-/// the identical offered workload without copying it.
-pub(crate) fn generate_trace(cfg: &PipelineConfig) -> Vec<ArrivalEvent> {
+/// The offered trace of `cfg` — arrival times, flows, sizes and marker
+/// bytes — drawn lazily as a pure function of `cfg`, in arrival order,
+/// until `cfg.duration`. One-shard and globally admitted runs consume it
+/// as they go; shard-local sharded runs collect it once and partition
+/// *indices into* it by home shard, so every shard count and execution
+/// mode sees the identical offered workload without copying it.
+pub(crate) fn offered_trace(cfg: &PipelineConfig) -> impl Iterator<Item = ArrivalEvent> + '_ {
     let mut arrivals = ArrivalGen::new(cfg.arrivals, cfg.seed);
     let mut stream = PacketStream::new(&cfg.mix, &cfg.sizes, cfg.seed ^ DRAW_SEED_MIX);
-    let mut out = Vec::new();
-    let mut at = arrivals.next_arrival();
-    while at <= cfg.duration {
-        let (flow, size, marker) = stream.next_packet();
-        out.push(ArrivalEvent {
-            at,
-            flow,
-            size,
-            marker,
-        });
-        at = arrivals.next_arrival();
-    }
-    out
+    std::iter::repeat_with(move || arrivals.next_arrival())
+        .take_while(move |&at| at <= cfg.duration)
+        .map(move |at| {
+            let (flow, size, marker) = stream.next_packet();
+            ArrivalEvent {
+                at,
+                flow,
+                size,
+                marker,
+            }
+        })
 }
 
 /// Splits a trace into per-shard *index lists* (`u32` indices into the
@@ -193,26 +191,11 @@ pub(crate) fn partition_indices(
     idx
 }
 
-/// Events of one shard's private trace-replay loop.
-#[derive(Debug, Clone)]
-enum SEv {
-    /// The `usize` indexes the shard's arrival *index list*; processing
-    /// arrival `k` schedules arrival `k + 1`, mirroring the dense loop's
-    /// arrival chaining (and its event-queue tie behaviour).
-    Arrival(usize),
-    TxDone {
-        flow: FlowId,
-        bytes: u32,
-        enqueued_at: Picos,
-    },
-}
-
 /// The bookkeeping every closed loop shares: the per-flow report, the
 /// per-flow packet ledger (enqueue time, length, marker) and the scratch
-/// payload buffer. Factoring it out is what lets the dense pipeline, the
-/// per-shard trace replay and the streaming service loop stay
-/// *behaviourally identical* — they all admit, evict and deliver through
-/// these three methods.
+/// payload buffer. Factoring it out is what lets the finite-trace loop
+/// and the streaming service loop stay *behaviourally identical* — they
+/// all admit, evict and deliver through these methods.
 pub(crate) struct LoopState {
     pub(crate) report: PipelineReport,
     pub(crate) ledger: Vec<VecDeque<Slot>>,
@@ -220,6 +203,10 @@ pub(crate) struct LoopState {
     /// The loop's telemetry recorder; [`finish`](Self::finish) moves it
     /// into the report. `None` (untraced) costs one branch per event.
     pub(crate) tel: Option<Telemetry>,
+    /// Torn frames per flow, sized on the first tear (empty on a healthy
+    /// engine), so a loop serving several shards can charge each to its
+    /// flow's home shard.
+    pub(crate) torn: Vec<u64>,
 }
 
 /// What an arrival did, for window accounting.
@@ -240,6 +227,7 @@ impl LoopState {
             // distribution can draw, so no sampled size is truncated.
             payload: vec![0xA5u8; max_bytes as usize],
             tel: None,
+            torn: Vec::new(),
         }
     }
 
@@ -249,13 +237,21 @@ impl LoopState {
         self
     }
 
-    /// Offers one packet to `policy`, keeping the ledger in sync with
+    /// Counts one torn or cross-linked frame on `flow`.
+    pub(crate) fn tear(&mut self, flow: FlowId) {
+        self.report.integrity_violations += 1;
+        if self.torn.is_empty() {
+            self.torn = vec![0; self.ledger.len()];
+        }
+        self.torn[flow.as_usize()] += 1;
+    }
+
+    /// Offers one packet through `adm`, keeping the ledger in sync with
     /// any evictions (which happen on admission *and* on refusal: a
     /// push-out policy may clear room and still fail).
-    pub(crate) fn arrival<P: DropPolicy + ?Sized>(
+    pub(crate) fn arrival<A: Admit + ?Sized>(
         &mut self,
-        qm: &mut QueueManager,
-        policy: &mut P,
+        adm: &mut A,
         now: Picos,
         flow: FlowId,
         size: usize,
@@ -268,7 +264,7 @@ impl LoopState {
         let fr = &mut self.report.flows[flow.as_usize()];
         fr.offered_pkts += 1;
         fr.offered_bytes += size as u64;
-        let (evicted, admitted, refused) = match policy.offer(qm, flow, &self.payload[..size]) {
+        let (evicted, admitted, refused) = match adm.offer(flow, &self.payload[..size]) {
             Ok(admission) => (admission.evicted, true, None),
             Err(refusal) => (refusal.evicted, false, Some(refusal.reason)),
         };
@@ -278,7 +274,7 @@ impl LoopState {
                 .pop_front()
                 .expect("evicted packet must be in the ledger");
             if slot.len != bytes {
-                self.report.integrity_violations += 1;
+                self.tear(victim);
             }
             self.report.flows[victim.as_usize()].evicted_pkts += 1;
             evicted_n += 1;
@@ -287,11 +283,11 @@ impl LoopState {
                 // push-out — the state the policy's decision produced.
                 t.record_evict(
                     now,
-                    policy.name(),
+                    adm.name(),
                     victim,
                     bytes,
-                    qm.queue_len_segments(victim),
-                    qm.occupied_segments(),
+                    adm.depth(victim),
+                    adm.occupancy(),
                 );
             }
         }
@@ -311,12 +307,12 @@ impl LoopState {
                 let reason = refused.expect("refusal carries its reason");
                 t.record_drop(
                     now,
-                    policy.name(),
+                    adm.name(),
                     reason,
                     flow,
                     size as u32,
-                    qm.queue_len_segments(flow),
-                    qm.occupied_segments(),
+                    adm.depth(flow),
+                    adm.occupancy(),
                 );
             }
         }
@@ -351,111 +347,13 @@ impl LoopState {
     /// aggregate counters.
     pub(crate) fn finish(&mut self, makespan: Picos) {
         self.report.makespan = makespan;
-        let flows = std::mem::take(&mut self.report.flows);
-        for fr in &flows {
-            self.report.offered_pkts += fr.offered_pkts;
-            self.report.offered_bytes += fr.offered_bytes;
-            self.report.dropped_pkts += fr.dropped_pkts;
-            self.report.evicted_pkts += fr.evicted_pkts;
-            self.report.delivered_pkts += fr.delivered_pkts;
-            self.report.delivered_bytes += fr.delivered_bytes;
-            self.report.latency_ns.merge(&fr.latency_ns);
-        }
-        self.report.flows = flows;
+        self.report.fold_flows();
         self.report.telemetry = self.tel.take();
     }
 
     fn buffered_pkts(&self) -> u64 {
         self.ledger.iter().map(|l| l.len() as u64).sum()
     }
-}
-
-/// One shard's trace-replay loop: its slice of the offered trace (as
-/// indices into the shared trace) through its own policy, scheduler and
-/// egress server. Entirely self-contained — own event queue, own ledger
-/// — which is what makes the sharded pipeline's parallel mode
-/// byte-identical to serial execution: the loop runs the same either
-/// way, only on different threads.
-///
-/// The returned report's `flows` vector is indexed by global flow id
-/// (foreign flows stay zero) and its `makespan` is this shard's own last
-/// event time; the caller overwrites it with the global maximum.
-pub(crate) fn run_trace_shard<P, S>(
-    cfg: &PipelineConfig,
-    trace: &[ArrivalEvent],
-    idx: &[u32],
-    qm: &mut QueueManager,
-    policy: &mut P,
-    sched: &mut S,
-    gbps: f64,
-) -> PipelineReport
-where
-    P: DropPolicy + ?Sized,
-    S: FlowScheduler + ?Sized,
-{
-    let flows = cfg.mix.flows();
-    let mut ev: EventQueue<SEv> = EventQueue::new();
-    let mut st = LoopState::new(flows, cfg.sizes.max_bytes()).with_telemetry(cfg.telemetry);
-    let mut server_busy = false;
-    let mut egress = Egress::Line(gbps);
-
-    if let Some(&first) = idx.first() {
-        ev.schedule(trace[first as usize].at, SEv::Arrival(0));
-    }
-
-    while let Some((now, event)) = ev.pop() {
-        match event {
-            SEv::Arrival(k) => {
-                let ArrivalEvent {
-                    flow, size, marker, ..
-                } = trace[idx[k] as usize];
-                st.arrival(qm, policy, now, flow, size as usize, marker);
-                if let Some(&next) = idx.get(k + 1) {
-                    ev.schedule(trace[next as usize].at, SEv::Arrival(k + 1));
-                }
-                if !server_busy {
-                    server_busy = start_service(
-                        qm,
-                        sched,
-                        &mut st.ledger,
-                        &mut ev,
-                        &mut egress,
-                        &mut st.report.integrity_violations,
-                        &mut st.tel,
-                        |flow, bytes, enqueued_at| SEv::TxDone {
-                            flow,
-                            bytes,
-                            enqueued_at,
-                        },
-                    );
-                }
-            }
-            SEv::TxDone {
-                flow,
-                bytes,
-                enqueued_at,
-            } => {
-                st.delivery(now, flow, bytes, enqueued_at);
-                server_busy = start_service(
-                    qm,
-                    sched,
-                    &mut st.ledger,
-                    &mut ev,
-                    &mut egress,
-                    &mut st.report.integrity_violations,
-                    &mut st.tel,
-                    |flow, bytes, enqueued_at| SEv::TxDone {
-                        flow,
-                        bytes,
-                        enqueued_at,
-                    },
-                );
-            }
-        }
-    }
-
-    st.finish(ev.now());
-    st.report
 }
 
 /// Configuration of a streaming service run.
@@ -697,15 +595,7 @@ pub struct EpochSnapshot {
 /// [`FNV_OFFSET_BASIS`] reproduces
 /// [`ShardedQueueManager::state_digest`] on a drained engine.
 fn shard_state_digest(qm: &QueueManager, ledger: &[VecDeque<Slot>]) -> u64 {
-    let mut h = state_digest(qm);
-    for (f, slots) in ledger.iter().enumerate() {
-        for slot in slots {
-            h = fnv1a_fold(h, f as u64);
-            h = fnv1a_fold(h, u64::from(slot.len));
-            h = fnv1a_fold(h, u64::from(slot.marker));
-        }
-    }
-    h
+    fold_ledger(state_digest(qm), ledger)
 }
 
 /// One timestamped packet produced by a generator.
@@ -923,11 +813,9 @@ where
         self.server_busy = start_service(
             self.qm,
             &mut self.sched,
-            &mut self.st.ledger,
+            &mut self.st,
             &mut self.ev,
             &mut egress,
-            &mut self.st.report.integrity_violations,
-            &mut self.st.tel,
             |flow, bytes, enqueued_at| TxEv {
                 flow,
                 bytes,
@@ -958,14 +846,13 @@ where
 
     /// Applies one arrival.
     fn apply_arrival(&mut self, pkt: StreamPacket) {
-        let out = self.st.arrival(
-            self.qm,
-            &mut self.policy,
-            pkt.at,
-            pkt.flow,
-            pkt.size as usize,
-            pkt.marker,
-        );
+        let mut adm = Local {
+            qm: self.qm,
+            policy: &mut self.policy,
+        };
+        let out = self
+            .st
+            .arrival(&mut adm, pkt.at, pkt.flow, pkt.size as usize, pkt.marker);
         self.cur.offered_pkts += 1;
         self.cur.offered_bytes += u64::from(pkt.size);
         self.cur.evicted_pkts += out.evicted;
@@ -1922,7 +1809,7 @@ mod tests {
     #[test]
     fn trace_partition_covers_every_index_exactly_once() {
         let pcfg = PipelineConfig::bursty_overload(13);
-        let trace = generate_trace(&pcfg);
+        let trace: Vec<ArrivalEvent> = offered_trace(&pcfg).collect();
         let shard_of_flow: Vec<usize> = (0..pcfg.mix.flows())
             .map(|f| f.rem_euclid(4) as usize)
             .collect();
