@@ -15,7 +15,9 @@
 #                   # table10 and table11 golden checks, so even the
 #                   # fast path catches torn-frame, conservation,
 #                   # competitive-ratio, streaming-service and
-#                   # QoS-isolation regressions
+#                   # QoS-isolation regressions, and the table7/table8
+#                   # checks at 1 and 2 worker threads with their
+#                   # reports diffed (the sharded batch executor)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -62,6 +64,26 @@ golden_full() {
     echo "==> table11 --check at NPQM_THREADS=1 (hierarchical-QoS gates, serial leg)"
     NPQM_THREADS=1 cargo run --release -q -p npqm-bench --bin table11 -- \
         --check --report target/table11-det-threads1.json
+}
+
+# The fast-path gate on the sharded batch executor: table7 and table8
+# --check at 1 and 2 worker threads, so the scoped-worker path runs even
+# on a 2-core host, with the two deterministic reports of each table
+# required to be identical to the byte. Together they take about a
+# second.
+determinism_quick() {
+    for t in table7 table8; do
+        for n in 1 2; do
+            echo "==> ${t} --check at NPQM_THREADS=${n}"
+            NPQM_THREADS=$n cargo run --release -q -p npqm-bench --bin "$t" -- \
+                --check --report "target/${t}-det-quick-threads${n}.json"
+        done
+        echo "==> diff ${t} threads=1 vs threads=2 reports"
+        if ! diff -u "target/${t}-det-quick-threads1.json" "target/${t}-det-quick-threads2.json"; then
+            echo "determinism FAILED: ${t} reports differ between 1 and 2 threads" >&2
+            exit 1
+        fi
+    done
 }
 
 # The headline guarantee of the thread-parallel executor: for a fixed
@@ -163,6 +185,7 @@ bench_gate() {
 if [[ "${1:-}" == "quick" ]]; then
     tier1
     golden_quick
+    determinism_quick
     echo "CI quick green."
     exit 0
 fi

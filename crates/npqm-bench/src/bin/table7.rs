@@ -25,11 +25,13 @@
 //! busy-time basis is not contaminated by worker contention), wall-clock
 //! speedup ≥ 1.5× at 4 threads / 4 shards (enforced only on a host with
 //! ≥ 4 cores), and packet conservation + frame integrity in both closed
-//! loops. The worker-thread count comes from `NPQM_THREADS`
-//! (default 1); `--report <path>` additionally writes a machine-readable
-//! JSON document containing **only deterministic fields**, which the CI
-//! `parallel-determinism` stage diffs across thread counts —
-//! byte-identical or the build fails. `--json <path>` (without
+//! loops. The worker-thread count comes from `NPQM_THREADS` (1 when
+//! unset; a set value that is not a positive integer panics); every
+//! count runs the same batch executor, inline at one worker.
+//! `--report <path>` additionally writes a machine-readable
+//! JSON document containing **only deterministic fields**, which CI
+//! diffs across thread counts (1 vs 2 on pull requests, 1 vs 4 on
+//! main) — byte-identical or the build fails. `--json <path>` (without
 //! `--check`) writes the full results including wall-clock measurements,
 //! the per-commit perf artifact.
 

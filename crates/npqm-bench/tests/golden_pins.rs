@@ -95,14 +95,27 @@ fn traced_global_lqd_is_pinned() {
 
 #[test]
 fn shard_scale_fingerprint_is_pinned() {
-    assert_eq!(
-        run_shard_scale(&ShardScaleConfig::smoke(), 4, 1).fingerprint,
-        0xd5b3_0976_2d0f_4973
-    );
+    for threads in [1, 2] {
+        assert_eq!(
+            run_shard_scale(&ShardScaleConfig::smoke(), 4, threads).fingerprint,
+            0xd5b3_0976_2d0f_4973,
+            "threads = {threads}"
+        );
+    }
 }
 
 #[test]
 fn memory_scale_fingerprint_is_pinned() {
-    let row = run_memory_scale(&ShardScaleConfig::smoke(), 2, 1, &TimingConfig::paper(8));
-    assert_eq!(row.fingerprint, 0xaee8_51e5_302b_72ca);
+    for threads in [1, 2] {
+        let row = run_memory_scale(
+            &ShardScaleConfig::smoke(),
+            2,
+            threads,
+            &TimingConfig::paper(8),
+        );
+        assert_eq!(
+            row.fingerprint, 0xaee8_51e5_302b_72ca,
+            "threads = {threads}"
+        );
+    }
 }

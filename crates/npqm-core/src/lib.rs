@@ -77,7 +77,7 @@ pub use sched::{
     DeficitRoundRobin, FlowScheduler, HtbClass, HtbError, HtbScheduler, HtbStats, HtbTreeBuilder,
     StrictPriority, WeightedRoundRobin,
 };
-pub use shard::parallel::{GlobalDropPolicy, GlobalLqd, GlobalOccupancy};
+pub use shard::parallel::{GlobalDropPolicy, GlobalLqd};
 pub use shard::{ShardedAdmission, ShardedInvariantReport, ShardedQueueManager};
 pub use stats::{ParallelStats, QmStats};
 pub use telemetry::{

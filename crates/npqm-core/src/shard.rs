@@ -19,7 +19,9 @@
 //!   `&[Command]` batch is grouped per shard and each group runs
 //!   back-to-back on its engine, so pointer-cache locality and the lazy
 //!   [`QueueManager::longest_queue`] heap maintenance are amortized
-//!   across the batch instead of paid per interleaved command;
+//!   across the batch instead of paid per interleaved command. Every
+//!   batch entry point, serial or threaded, runs its groups through the
+//!   one group runner in [`parallel`];
 //! * **cross-shard moves/copies**: two-queue commands whose source and
 //!   destination hash to different shards act as barriers for the two
 //!   engines involved and transfer the payload between the two data
@@ -108,11 +110,9 @@ use crate::policy::{Admission, DropPolicy, Refusal};
 use crate::ptrmem::PtrMemCounters;
 use crate::stats::{ParallelStats, QmStats};
 use crate::timing::stream::{CrossBarrier, EngineTrace};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod parallel;
-
-use parallel::GlobalOccupancy;
 
 /// Where a command executes: one shard, or two distinct shards.
 enum Route {
@@ -129,9 +129,7 @@ enum Route {
 pub struct ShardedQueueManager {
     shards: Vec<QueueManager>,
     busy: Vec<Duration>,
-    /// Merged per-shard top-of-heap snapshots (see [`GlobalOccupancy`]).
-    pub(crate) occ: GlobalOccupancy,
-    /// Accounting for the parallel batch executor.
+    /// Accounting for the batch group runner.
     pub(crate) pstats: ParallelStats,
     /// Cross-shard barrier marks recorded while tracing (consumed by
     /// [`ShardedQueueManager::take_trace`]).
@@ -155,7 +153,6 @@ impl ShardedQueueManager {
                 .map(|_| QueueManager::new(per_shard))
                 .collect(),
             busy: vec![Duration::ZERO; num_shards],
-            occ: GlobalOccupancy::new(num_shards),
             pstats: ParallelStats::default(),
             trace_barriers: Vec::new(),
         }
@@ -294,36 +291,16 @@ impl ShardedQueueManager {
     /// engines from their own threads (each element is an independent
     /// engine; the slice can be split and the pieces sent to different
     /// workers). The per-shard [busy times](ShardedQueueManager::busy_times)
-    /// and the [occupancy index](ShardedQueueManager::occupancy) are *not*
+    /// and [parallel stats](ShardedQueueManager::parallel_stats) are *not*
     /// maintained through this access path.
     pub fn shards_mut(&mut self) -> &mut [QueueManager] {
         &mut self.shards
     }
 
-    /// The merged per-shard occupancy snapshot (see [`GlobalOccupancy`]).
-    ///
-    /// Kept current by the parallel batch executor (workers publish their
-    /// shard's top after each group) and by
-    /// [`refresh_occupancy`](ShardedQueueManager::refresh_occupancy);
-    /// other mutation paths leave it stale, so policy decisions must
-    /// refresh first.
-    pub fn occupancy(&self) -> &GlobalOccupancy {
-        &self.occ
-    }
-
-    /// Recomputes every shard's longest-queue snapshot and publishes it
-    /// into the [occupancy index](ShardedQueueManager::occupancy).
-    /// Amortised `O(shards · log flows)` via each shard's lazy heap.
-    pub fn refresh_occupancy(&mut self) {
-        for (s, qm) in self.shards.iter_mut().enumerate() {
-            let top = qm.longest_queue();
-            self.occ.publish(s, top);
-        }
-    }
-
-    /// Accounting of the parallel batch executor: phases, groups and
-    /// work-steal events. Steal counts depend on OS scheduling and are
-    /// not deterministic; everything the executor *computes* is.
+    /// Accounting of the batch group runner: batches, phases, groups and
+    /// work-steal events. The shape counters are the same at any thread
+    /// count; steal counts depend on OS scheduling and are not
+    /// deterministic.
     pub fn parallel_stats(&self) -> ParallelStats {
         self.pstats
     }
@@ -479,66 +456,28 @@ impl ShardedQueueManager {
                 self.shards[s].commit_span();
                 r
             }
-            Route::Two(..) => self.execute_cross_traced(cmd),
+            Route::Two(a, b) => self.execute_cross_traced(cmd, a, b),
         }
     }
 
-    /// Executes a batch of commands grouped per shard.
+    /// Executes a batch of commands grouped per shard, on one worker.
     ///
     /// Results come back in input order and are identical to executing
     /// the commands one-by-one through
     /// [`execute`](ShardedQueueManager::execute): within a shard the
     /// original order is preserved, commands on different shards touch
-    /// disjoint state, and a cross-shard command flushes the pending
-    /// groups of both engines it touches before running (a two-engine
-    /// barrier). Each group's wall-clock cost is added to its shard's
-    /// [busy time](ShardedQueueManager::busy_times); a cross-shard
-    /// command's cost is charged to both engines, which it serializes.
+    /// disjoint state, and a cross-shard command first flushes every
+    /// pending group, then runs alone. Each group's wall-clock cost is
+    /// added to its shard's [busy time](ShardedQueueManager::busy_times);
+    /// a cross-shard command's cost is charged to both engines, which it
+    /// serializes. Flushing the groups of uninvolved shards too leaves
+    /// results unchanged; it only cuts their busy time and trace spans at
+    /// more points.
+    ///
+    /// This is [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
+    /// at one thread.
     pub fn execute_batch(&mut self, cmds: &[Command]) -> Vec<Result<Outcome, QueueError>> {
-        let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, cmd) in cmds.iter().enumerate() {
-            match self.route(cmd) {
-                Route::One(s) => groups[s].push(i),
-                Route::Two(a, b) => {
-                    self.flush_group(&mut groups[a], a, cmds, &mut results);
-                    self.flush_group(&mut groups[b], b, cmds, &mut results);
-                    let t = Instant::now();
-                    let r = self.execute_cross_traced(cmd.clone());
-                    let d = t.elapsed();
-                    self.busy[a] += d;
-                    self.busy[b] += d;
-                    results[i] = Some(r);
-                }
-            }
-        }
-        for (s, group) in groups.iter_mut().enumerate() {
-            self.flush_group(group, s, cmds, &mut results);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every command was executed"))
-            .collect()
-    }
-
-    /// Runs one shard's pending command group back-to-back, timed.
-    fn flush_group(
-        &mut self,
-        group: &mut Vec<usize>,
-        shard: usize,
-        cmds: &[Command],
-        results: &mut [Option<Result<Outcome, QueueError>>],
-    ) {
-        if group.is_empty() {
-            return;
-        }
-        let t = Instant::now();
-        for &i in group.iter() {
-            results[i] = Some(self.shards[shard].execute(cmds[i].clone()));
-        }
-        self.busy[shard] += t.elapsed();
-        self.shards[shard].commit_span();
-        group.clear();
+        self.execute_batch_parallel(cmds, 1)
     }
 
     /// Executes a cross-shard command, recording its two-engine barrier
@@ -546,11 +485,13 @@ impl ShardedQueueManager {
     /// destination-side traffic each become one span on their engine,
     /// and the [`CrossBarrier`] tells the memory channels to synchronize
     /// both clocks after charging them.
-    pub(crate) fn execute_cross_traced(&mut self, cmd: Command) -> Result<Outcome, QueueError> {
-        let (a, b) = match self.route(&cmd) {
-            Route::Two(a, b) => (a, b),
-            Route::One(_) => unreachable!("cross execution requires two shards"),
-        };
+    /// `a` and `b` are the command's [`Route::Two`] shards.
+    fn execute_cross_traced(
+        &mut self,
+        cmd: Command,
+        a: usize,
+        b: usize,
+    ) -> Result<Outcome, QueueError> {
         if !self.tracing() {
             return self.execute_cross(cmd);
         }
@@ -867,7 +808,8 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         r
     }
 
-    /// Offers a batch of arriving packets, grouped per shard.
+    /// Offers a batch of arriving packets, grouped per shard, on one
+    /// worker.
     ///
     /// Results come back in input order and are identical to calling
     /// [`offer`](ShardedAdmission::offer) one arrival at a time (within a
@@ -876,6 +818,9 @@ impl<P: DropPolicy> ShardedAdmission<P> {
     /// engine's [busy time](ShardedQueueManager::busy_times), so the
     /// admission path is part of the measured per-engine load.
     ///
+    /// This is [`offer_batch_parallel`](ShardedAdmission::offer_batch_parallel)
+    /// at one thread.
+    ///
     /// # Panics
     ///
     /// Panics if `engine` has a different shard count than this admission.
@@ -883,33 +828,11 @@ impl<P: DropPolicy> ShardedAdmission<P> {
         &mut self,
         engine: &mut ShardedQueueManager,
         arrivals: &[(FlowId, &[u8])],
-    ) -> Vec<Result<Admission, Refusal>> {
-        assert_eq!(
-            self.policies.len(),
-            engine.num_shards(),
-            "admission and engine shard counts differ"
-        );
-        let mut results: Vec<Option<Result<Admission, Refusal>>> = vec![None; arrivals.len()];
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); engine.num_shards()];
-        for (i, &(flow, _)) in arrivals.iter().enumerate() {
-            groups[engine.shard_of(flow)].push(i);
-        }
-        for (s, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let t = Instant::now();
-            for i in group {
-                let (flow, data) = arrivals[i];
-                results[i] = Some(self.policies[s].offer(&mut engine.shards[s], flow, data));
-            }
-            engine.busy[s] += t.elapsed();
-            engine.shards[s].commit_span();
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every arrival was offered"))
-            .collect()
+    ) -> Vec<Result<Admission, Refusal>>
+    where
+        P: Send,
+    {
+        self.offer_batch_parallel(engine, arrivals, 1)
     }
 }
 

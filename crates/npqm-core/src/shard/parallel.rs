@@ -1,48 +1,50 @@
-//! Thread-parallel batch execution with work stealing, and the global
+//! The group runner behind every sharded batch, and the global
 //! Longest-Queue-Drop policy over all shards.
 //!
 //! The sharded engine's shards share no state, so a batch's per-shard
-//! command groups can genuinely run on different OS threads — this module
-//! is the executor that does it, plus the cross-shard occupancy index
-//! that lets one buffer-management policy see *all* engines at once:
+//! groups can run on different OS threads. This module holds the one
+//! place where per-shard batch work runs, plus the policy that sees all
+//! engines at once:
 //!
-//! * [`ShardedQueueManager::execute_batch_parallel`] /
-//!   [`ShardedAdmission::offer_batch_parallel`] — each phase's per-shard
-//!   groups are sorted longest-first and handed to `std::thread::scope`
-//!   workers through a **lock-free claim counter**: a worker that drains
-//!   its group grabs the next whole group off the shared backlog (the
-//!   longest one still unclaimed), so a pathologically loaded shard never
-//!   leaves the other workers idle. Claims beyond a worker's first are
-//!   counted as steals in [`ParallelStats`](crate::stats::ParallelStats).
-//! * [`GlobalOccupancy`] — one atomic word per shard holding that shard's
-//!   top-of-heap `(flow, bytes)` snapshot. Workers publish their shard's
-//!   top as they finish a group; readers merge the N words into the
-//!   globally longest queue without touching any engine.
+//! * **The group runner** behind
+//!   [`execute_batch`](ShardedQueueManager::execute_batch),
+//!   [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel),
+//!   [`offer_batch`](ShardedAdmission::offer_batch) and
+//!   [`offer_batch_parallel`](ShardedAdmission::offer_batch_parallel).
+//!   Each non-empty per-shard group of a phase runs in input order on its
+//!   own shard, and its wall clock is added to that shard's busy time.
+//!   With one worker (one thread, or one non-empty group) the groups run
+//!   inline in shard order and each result goes straight into its slot.
+//!   Otherwise they are sorted longest-first and handed to
+//!   `std::thread::scope` workers through a shared queue: a worker that
+//!   drains its group claims the next whole group off the backlog, so a
+//!   pathologically loaded shard never leaves the other workers idle.
+//!   Claims beyond a worker's first are counted as steals in
+//!   [`ParallelStats`](crate::stats::ParallelStats).
 //! * [`GlobalLqd`] — the shared-buffer Longest Queue Drop of Matsakis
 //!   applied across *all* partitions: one global segment budget, and when
 //!   an arrival does not fit, complete packets are pushed out of the
 //!   longest queue anywhere in the system (never a mid-SAR or mid-service
-//!   head) until it does. Shard-local policies can only make the hog pay
-//!   when the hog happens to share their shard; the global policy always
-//!   can.
+//!   head) until it does. The victim is found by scanning each shard's
+//!   occupancy heap at the moment of the decision. Shard-local policies
+//!   can only make the hog pay when the hog happens to share their shard;
+//!   the global policy always can.
 //!
 //! # Determinism contract
 //!
 //! For any fixed batch,
 //! [`execute_batch_parallel`](ShardedQueueManager::execute_batch_parallel)
-//! returns the same
-//! results vector, leaves every shard in the same state (see
-//! [`ShardedQueueManager::state_digest`]) and accumulates the same
-//! [`QmStats`](crate::QmStats) as serial
-//! [`execute_batch`](ShardedQueueManager::execute_batch), at **any**
-//! thread count: commands of one shard always run in program order on
-//! exactly one worker at a time, shards share no state, and a cross-shard
-//! command is a barrier resolved in a sequential epilogue between phases.
-//! Only the wall-clock measurements (per-shard busy times) and the steal
-//! counter vary with scheduling. The property tests in
-//! `tests/parallel_equivalence.rs` pin this contract down, and the CI
-//! `parallel-determinism` stage diffs `table7 --check` reports across
-//! thread counts.
+//! returns the same results vector, leaves every shard in the same state
+//! (see [`ShardedQueueManager::state_digest`]) and accumulates the same
+//! [`QmStats`](crate::QmStats) as running the commands one at a time
+//! through [`execute`](ShardedQueueManager::execute), at **any** thread
+//! count: commands of one shard always run in program order on exactly
+//! one worker at a time, shards share no state, and a cross-shard command
+//! runs alone after every group queued before it. Only the wall-clock
+//! measurements (per-shard busy times) and the steal counter vary with
+//! scheduling. The property tests in `tests/parallel_equivalence.rs` pin
+//! this contract down, and CI diffs `table7`/`table8 --check --report`
+//! documents across thread counts.
 //!
 //! # Example
 //!
@@ -60,10 +62,8 @@
 //!     .collect();
 //! let mut parallel = ShardedQueueManager::new(QmConfig::small(), 4);
 //! let mut serial = ShardedQueueManager::new(QmConfig::small(), 4);
-//! assert_eq!(
-//!     parallel.execute_batch_parallel(&batch, 4),
-//!     serial.execute_batch(&batch),
-//! );
+//! let one_by_one: Vec<_> = batch.iter().map(|c| serial.execute(c.clone())).collect();
+//! assert_eq!(parallel.execute_batch_parallel(&batch, 4), one_by_one);
 //! assert_eq!(parallel.state_digest(), serial.state_digest());
 //! ```
 
@@ -74,157 +74,147 @@ use crate::id::FlowId;
 use crate::limits::DropReason;
 use crate::manager::QueueManager;
 use crate::policy::{self, Admission, DropPolicy, PolicyStats, Refusal};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Per-shard longest-queue snapshots, merged on read.
-///
-/// One atomic word per shard packs that shard's top-of-heap as
-/// `(bytes saturated to u32) << 32 | (flow index + 1)`, with `0` meaning
-/// "shard is empty". Writers ([`publish`](GlobalOccupancy::publish))
-/// never block readers; [`longest`](GlobalOccupancy::longest) merges the
-/// N words into the globally longest queue. Byte counts above `u32::MAX`
-/// are saturated in the snapshot (they only rank victims; exact counts
-/// stay in the engines).
-///
-/// The index is a *snapshot*, not a live view: it is only as fresh as the
-/// last publish. The parallel executors publish each shard's top as a
-/// worker finishes a group;
-/// [`ShardedQueueManager::refresh_occupancy`] recomputes all of them, and
-/// any policy that makes decisions from the index must refresh first.
-#[derive(Debug)]
-pub struct GlobalOccupancy {
-    tops: Vec<AtomicU64>,
+/// One non-empty group handed to a worker: its shard, context, busy-time
+/// slot and indices, plus the results it produces in index order.
+struct Lane<'a, C, R> {
+    qm: &'a mut QueueManager,
+    ctx: &'a mut C,
+    busy: &'a mut Duration,
+    idxs: &'a [usize],
+    out: Vec<R>,
 }
 
-impl GlobalOccupancy {
-    pub(crate) fn new(num_shards: usize) -> Self {
-        GlobalOccupancy {
-            tops: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-        }
+/// Runs `group` in input order on `qm`, passing each index and its result
+/// to `put`. The wall clock is added to `busy`, and the group closes one
+/// trace span.
+fn run_group<C, R>(
+    qm: &mut QueueManager,
+    ctx: &mut C,
+    busy: &mut Duration,
+    group: &[usize],
+    op: &impl Fn(&mut QueueManager, &mut C, usize) -> R,
+    mut put: impl FnMut(usize, R),
+) {
+    let t = Instant::now();
+    for &i in group {
+        put(i, op(qm, ctx, i));
     }
-
-    fn pack(top: Option<(FlowId, u64)>) -> u64 {
-        match top {
-            None => 0,
-            Some((flow, bytes)) => (bytes.min(u32::MAX as u64) << 32) | (flow.index() as u64 + 1),
-        }
-    }
-
-    fn unpack(word: u64) -> Option<(FlowId, u64)> {
-        if word == 0 {
-            return None;
-        }
-        Some((FlowId::new((word as u32) - 1), word >> 32))
-    }
-
-    /// Number of per-shard slots.
-    pub fn num_shards(&self) -> usize {
-        self.tops.len()
-    }
-
-    /// Publishes `shard`'s current longest queue (or `None` when empty).
-    pub fn publish(&self, shard: usize, top: Option<(FlowId, u64)>) {
-        self.tops[shard].store(Self::pack(top), Ordering::Release);
-    }
-
-    /// The last published snapshot for `shard`.
-    pub fn top(&self, shard: usize) -> Option<(FlowId, u64)> {
-        Self::unpack(self.tops[shard].load(Ordering::Acquire))
-    }
-
-    /// The longest queue across all shards, as `(shard, flow, bytes)`.
-    ///
-    /// Ties break toward the lowest shard index, so the merge is a pure
-    /// function of the published snapshots.
-    pub fn longest(&self) -> Option<(usize, FlowId, u64)> {
-        let mut best: Option<(usize, FlowId, u64)> = None;
-        for (s, word) in self.tops.iter().enumerate() {
-            if let Some((flow, bytes)) = Self::unpack(word.load(Ordering::Acquire)) {
-                if best.is_none_or(|(_, _, b)| bytes > b) {
-                    best = Some((s, flow, bytes));
-                }
-            }
-        }
-        best
-    }
+    *busy += t.elapsed();
+    qm.commit_span();
 }
 
-impl Clone for GlobalOccupancy {
-    fn clone(&self) -> Self {
-        GlobalOccupancy {
-            tops: self
-                .tops
-                .iter()
-                .map(|t| AtomicU64::new(t.load(Ordering::Acquire)))
-                .collect(),
-        }
-    }
-}
-
-/// Distributes `items` across `workers` scoped threads through a shared
-/// claim counter and runs `work` on each exactly once.
-///
-/// Items are expected sorted longest-first: the counter hands them out in
-/// order, so a worker that finishes early always claims the longest
-/// *remaining* backlog — whole-group work stealing without a deque. Each
-/// item's mutex is locked exactly once (the counter assigns unique
-/// indices), so the mutex only satisfies the borrow checker; the hand-off
-/// itself is lock-free. Returns the number of steals (claims beyond each
-/// worker's first).
-fn claim_loop<T: Send>(items: &[Mutex<T>], workers: usize, work: impl Fn(&mut T) + Sync) -> u64 {
-    let claim = AtomicUsize::new(0);
-    let steals = AtomicU64::new(0);
-    thread::scope(|sc| {
-        for _ in 0..workers {
-            sc.spawn(|| {
-                let mut first = true;
-                loop {
-                    let k = claim.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
-                        break;
-                    }
-                    if !first {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    first = false;
-                    let mut item = items[k].lock().expect("a worker panicked");
-                    work(&mut item);
-                }
-            });
-        }
-    });
-    steals.load(Ordering::Relaxed)
-}
-
-/// A batch phase: per-shard groups bounded by an optional cross-shard
-/// barrier command.
-struct Phase {
-    groups: Vec<Vec<usize>>,
-    cross: Option<usize>,
+/// Unwraps a results vector the runner has filled completely.
+fn filled<R>(results: Vec<Option<R>>) -> Vec<R> {
+    results
+        .into_iter()
+        .map(|r| r.expect("every index belongs to exactly one group"))
+        .collect()
 }
 
 impl ShardedQueueManager {
+    /// Runs one phase: each non-empty `groups[s]` runs in input order on
+    /// shard `s` with context `ctx[s]`, and `op` computes the result for
+    /// each index into `results`. The groups are left empty.
+    ///
+    /// One worker (`threads` or the non-empty group count is 1) runs the
+    /// groups inline in shard order and writes each result straight into
+    /// its slot. More workers claim whole groups, longest first, from a
+    /// shared queue; a claim beyond a worker's first counts as a steal.
+    fn run_groups<C: Send, R: Send>(
+        &mut self,
+        ctx: &mut [C],
+        groups: &mut [Vec<usize>],
+        threads: usize,
+        results: &mut [Option<R>],
+        op: impl Fn(&mut QueueManager, &mut C, usize) -> R + Sync,
+    ) {
+        let nonempty = groups.iter().filter(|g| !g.is_empty()).count();
+        if nonempty == 0 {
+            return;
+        }
+        self.pstats.phases += 1;
+        self.pstats.groups += nonempty as u64;
+        let lanes = self
+            .shards
+            .iter_mut()
+            .zip(ctx)
+            .zip(&mut self.busy)
+            .zip(&*groups)
+            .filter(|(_, g)| !g.is_empty());
+        let workers = threads.min(nonempty);
+        if workers == 1 {
+            for (((qm, c), busy), group) in lanes {
+                run_group(qm, c, busy, group, &op, |i, r| results[i] = Some(r));
+            }
+        } else {
+            let mut lanes: Vec<Lane<'_, C, R>> = lanes
+                .map(|(((qm, ctx), busy), idxs)| Lane {
+                    qm,
+                    ctx,
+                    busy,
+                    idxs,
+                    out: Vec::with_capacity(idxs.len()),
+                })
+                .collect();
+            // Longest backlog first (ties toward the lower shard), so an
+            // idle worker always claims the heaviest remaining group.
+            lanes.sort_by_key(|l| Reverse(l.idxs.len()));
+            let backlog = Mutex::new(lanes.iter_mut());
+            let steals = AtomicU64::new(0);
+            // Each claim holds the lock only to take the next lane.
+            let claim = || {
+                backlog
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .next()
+            };
+            thread::scope(|sc| {
+                for _ in 0..workers {
+                    sc.spawn(|| {
+                        let mut claims = 0u64;
+                        while let Some(lane) = claim() {
+                            claims += 1;
+                            let out = &mut lane.out;
+                            run_group(lane.qm, lane.ctx, lane.busy, lane.idxs, &op, |_, r| {
+                                out.push(r)
+                            });
+                        }
+                        steals.fetch_add(claims.saturating_sub(1), Ordering::Relaxed);
+                    });
+                }
+            });
+            self.pstats.steals += steals.into_inner();
+            for lane in lanes {
+                for (&i, r) in lane.idxs.iter().zip(lane.out) {
+                    results[i] = Some(r);
+                }
+            }
+        }
+        for g in groups {
+            g.clear();
+        }
+    }
+
     /// Executes a batch with each shard's command groups running on their
     /// own worker threads, stealing whole groups across shards.
     ///
-    /// Semantics are identical to
-    /// [`execute_batch`](ShardedQueueManager::execute_batch) — results in
-    /// input order, per-shard program order preserved, cross-shard
-    /// commands acting as barriers (resolved in a sequential epilogue
-    /// between parallel phases, timed against both engines they
-    /// serialize) — and the outcome is **deterministic across thread
-    /// counts** (see the [module docs](self)). `threads == 1` delegates
-    /// to the serial path, which is also the reference the property tests
-    /// replay against.
+    /// Results come back in input order and are identical to executing
+    /// the commands one at a time through
+    /// [`execute`](ShardedQueueManager::execute), at any thread count
+    /// (see the [module docs](self)). Commands queue up per shard; a
+    /// cross-shard command first runs every pending group, then runs
+    /// alone, timed against both engines it serializes.
     ///
-    /// Group wall-clock is charged to the owning shard's
-    /// [busy time](ShardedQueueManager::busy_times) exactly as in the
-    /// serial path; workers additionally publish each shard's longest
-    /// queue into the [occupancy index](ShardedQueueManager::occupancy)
-    /// as they finish its group.
+    /// Each group's wall clock is charged to the owning shard's
+    /// [busy time](ShardedQueueManager::busy_times), and the batch's shape
+    /// (phases, groups) and steals land in
+    /// [`parallel_stats`](ShardedQueueManager::parallel_stats).
     ///
     /// # Panics
     ///
@@ -235,147 +225,40 @@ impl ShardedQueueManager {
         threads: usize,
     ) -> Vec<Result<Outcome, QueueError>> {
         assert!(threads > 0, "need at least one worker thread");
-        if threads == 1 || self.shards.len() == 1 {
-            return self.execute_batch(cmds);
-        }
-        let num_shards = self.shards.len();
-        let mut phases: Vec<Phase> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
+        let mut results = vec![None; cmds.len()];
+        let mut groups = vec![Vec::new(); self.shards.len()];
+        let mut units = vec![(); self.shards.len()];
+        let op = |qm: &mut QueueManager, _: &mut (), i: usize| qm.execute(cmds[i].clone());
+        self.pstats.parallel_batches += 1;
         for (i, cmd) in cmds.iter().enumerate() {
             match self.route(cmd) {
                 Route::One(s) => groups[s].push(i),
-                Route::Two(..) => {
-                    let full = std::mem::replace(&mut groups, vec![Vec::new(); num_shards]);
-                    phases.push(Phase {
-                        groups: full,
-                        cross: Some(i),
-                    });
+                Route::Two(a, b) => {
+                    self.run_groups(&mut units, &mut groups, threads, &mut results, op);
+                    let t = Instant::now();
+                    results[i] = Some(self.execute_cross_traced(cmd.clone(), a, b));
+                    let d = t.elapsed();
+                    self.busy[a] += d;
+                    self.busy[b] += d;
                 }
             }
         }
-        phases.push(Phase {
-            groups,
-            cross: None,
-        });
-
-        let mut results: Vec<Option<Result<Outcome, QueueError>>> = vec![None; cmds.len()];
-        self.pstats.parallel_batches += 1;
-        for phase in phases {
-            self.run_phase(cmds, phase.groups, threads, &mut results);
-            if let Some(ci) = phase.cross {
-                let cmd = cmds[ci].clone();
-                let (a, b) = match self.route(&cmd) {
-                    Route::Two(a, b) => (a, b),
-                    Route::One(_) => unreachable!("phase barriers are two-queue commands"),
-                };
-                let t = Instant::now();
-                let r = self.execute_cross_traced(cmd);
-                let d = t.elapsed();
-                self.busy[a] += d;
-                self.busy[b] += d;
-                results[ci] = Some(r);
-                let top = self.shards[a].longest_queue();
-                self.occ.publish(a, top);
-                let top = self.shards[b].longest_queue();
-                self.occ.publish(b, top);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every command was executed"))
-            .collect()
-    }
-
-    /// Runs one phase's non-empty groups, in parallel when there is more
-    /// than one.
-    fn run_phase(
-        &mut self,
-        cmds: &[Command],
-        groups: Vec<Vec<usize>>,
-        threads: usize,
-        results: &mut [Option<Result<Outcome, QueueError>>],
-    ) {
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if work.is_empty() {
-            return;
-        }
-        // Longest backlog first (ties toward the lower shard), so the
-        // claim counter hands out the heaviest remaining group.
-        work.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        self.pstats.phases += 1;
-        self.pstats.groups += work.len() as u64;
-
-        if work.len() == 1 {
-            let (s, group) = &work[0];
-            let t = Instant::now();
-            for &i in group {
-                results[i] = Some(self.shards[*s].execute(cmds[i].clone()));
-            }
-            self.busy[*s] += t.elapsed();
-            self.shards[*s].commit_span();
-            let top = self.shards[*s].longest_queue();
-            self.occ.publish(*s, top);
-            return;
-        }
-
-        struct Item<'a> {
-            shard: usize,
-            idxs: Vec<usize>,
-            qm: &'a mut QueueManager,
-            out: Vec<Result<Outcome, QueueError>>,
-            busy: Duration,
-        }
-        let occ = &self.occ;
-        let workers = threads.min(work.len());
-        let mut slots: Vec<Option<&mut QueueManager>> = self.shards.iter_mut().map(Some).collect();
-        let items: Vec<Mutex<Item<'_>>> = work
-            .into_iter()
-            .map(|(shard, idxs)| {
-                Mutex::new(Item {
-                    shard,
-                    qm: slots[shard].take().expect("each shard forms one group"),
-                    out: Vec::with_capacity(idxs.len()),
-                    idxs,
-                    busy: Duration::ZERO,
-                })
-            })
-            .collect();
-        let steals = claim_loop(&items, workers, |item: &mut Item<'_>| {
-            let t = Instant::now();
-            for k in 0..item.idxs.len() {
-                let r = item.qm.execute(cmds[item.idxs[k]].clone());
-                item.out.push(r);
-            }
-            item.busy = t.elapsed();
-            item.qm.commit_span();
-            occ.publish(item.shard, item.qm.longest_queue());
-        });
-        self.pstats.steals += steals;
-        for m in items {
-            let item = m.into_inner().expect("no worker panicked");
-            self.busy[item.shard] += item.busy;
-            for (i, r) in item.idxs.into_iter().zip(item.out) {
-                results[i] = Some(r);
-            }
-        }
+        self.run_groups(&mut units, &mut groups, threads, &mut results, op);
+        filled(results)
     }
 }
 
 impl<P: DropPolicy + Send> ShardedAdmission<P> {
     /// Offers a batch of arrivals with each shard's group running on its
-    /// own worker thread (same claim-counter work stealing as
-    /// [`ShardedQueueManager::execute_batch_parallel`]; groups are sorted
-    /// by *payload bytes*, the better cost proxy for admission work).
+    /// own worker thread (the same group runner as
+    /// [`ShardedQueueManager::execute_batch_parallel`]).
     ///
-    /// Results are identical to
-    /// [`offer_batch`](ShardedAdmission::offer_batch) at any thread
-    /// count: within a shard the arrival order is preserved and policy
-    /// `s` only ever touches engine `s`. Group wall-clock is charged to
-    /// the shard's busy time; steals land in the engine's
+    /// Results are identical to calling
+    /// [`offer`](ShardedAdmission::offer) one arrival at a time, at any
+    /// thread count: within a shard the arrival order is preserved and
+    /// policy `s` only ever touches engine `s`. Group wall-clock is
+    /// charged to the shard's busy time; the batch's shape and steals
+    /// land in the engine's
     /// [`parallel_stats`](ShardedQueueManager::parallel_stats).
     ///
     /// # Panics
@@ -394,77 +277,23 @@ impl<P: DropPolicy + Send> ShardedAdmission<P> {
             engine.num_shards(),
             "admission and engine shard counts differ"
         );
-        if threads == 1 || engine.num_shards() == 1 {
-            return self.offer_batch(engine, arrivals);
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); engine.num_shards()];
+        let mut groups = vec![Vec::new(); engine.num_shards()];
         for (i, &(flow, _)) in arrivals.iter().enumerate() {
             groups[engine.shard_of(flow)].push(i);
         }
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if work.is_empty() {
-            return Vec::new();
-        }
-        let bytes_of = |g: &[usize]| -> u64 { g.iter().map(|&i| arrivals[i].1.len() as u64).sum() };
-        work.sort_by(|a, b| bytes_of(&b.1).cmp(&bytes_of(&a.1)).then(a.0.cmp(&b.0)));
+        let mut results = vec![None; arrivals.len()];
         engine.pstats.parallel_batches += 1;
-        engine.pstats.phases += 1;
-        engine.pstats.groups += work.len() as u64;
-
-        struct Item<'a, P> {
-            shard: usize,
-            idxs: Vec<usize>,
-            qm: &'a mut QueueManager,
-            policy: &'a mut P,
-            out: Vec<Result<Admission, Refusal>>,
-            busy: Duration,
-        }
-        let mut results: Vec<Option<Result<Admission, Refusal>>> = vec![None; arrivals.len()];
-        let workers = threads.min(work.len());
-        let occ = &engine.occ;
-        let mut qslots: Vec<Option<&mut QueueManager>> =
-            engine.shards.iter_mut().map(Some).collect();
-        let mut pslots: Vec<Option<&mut P>> = self.policies.iter_mut().map(Some).collect();
-        let items: Vec<Mutex<Item<'_, P>>> = work
-            .into_iter()
-            .map(|(shard, idxs)| {
-                Mutex::new(Item {
-                    shard,
-                    qm: qslots[shard].take().expect("each shard forms one group"),
-                    policy: pslots[shard].take().expect("one policy per shard"),
-                    out: Vec::with_capacity(idxs.len()),
-                    idxs,
-                    busy: Duration::ZERO,
-                })
-            })
-            .collect();
-        let steals = claim_loop(&items, workers, |item: &mut Item<'_, P>| {
-            let t = Instant::now();
-            for k in 0..item.idxs.len() {
-                let (flow, data) = arrivals[item.idxs[k]];
-                let r = item.policy.offer(item.qm, flow, data);
-                item.out.push(r);
-            }
-            item.busy = t.elapsed();
-            item.qm.commit_span();
-            occ.publish(item.shard, item.qm.longest_queue());
-        });
-        engine.pstats.steals += steals;
-        for m in items {
-            let item = m.into_inner().expect("no worker panicked");
-            engine.busy[item.shard] += item.busy;
-            for (i, r) in item.idxs.into_iter().zip(item.out) {
-                results[i] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every arrival was offered"))
-            .collect()
+        engine.run_groups(
+            &mut self.policies,
+            &mut groups,
+            threads,
+            &mut results,
+            |qm, policy, i| {
+                let (flow, data) = arrivals[i];
+                policy.offer(qm, flow, data)
+            },
+        );
+        filled(results)
     }
 }
 
@@ -520,9 +349,8 @@ impl<P: DropPolicy> GlobalDropPolicy for ShardedAdmission<P> {
 /// paper's MMS (one data memory behind all engines) on top of the same
 /// sharded engine: admission is bounded by a single global budget, and
 /// when an arrival does not fit, complete packets are evicted from the
-/// longest queue **anywhere in the system** — found through the
-/// [`GlobalOccupancy`] snapshot, refreshed before every decision — until
-/// it does. Queues whose head is mid-SAR or mid-service are never
+/// longest queue **anywhere in the system** — found by scanning each
+/// shard's occupancy heap at the moment of the decision — until it does. Queues whose head is mid-SAR or mid-service are never
 /// victims (the shard-local safety rules still hold).
 ///
 /// # Pairing with the engine
@@ -606,13 +434,21 @@ impl GlobalLqd {
 
     /// The globally longest queue with an evictable head packet.
     ///
-    /// Fast path: refresh the occupancy snapshot and take its merged
-    /// maximum if evictable. Fallback (the maximum is a mid-SAR or
+    /// Fast path: each shard's longest queue, in shard order, keeping a
+    /// queue only if it is strictly longer (ties go to the lowest shard),
+    /// taken if evictable. Fallback (the maximum is a mid-SAR or
     /// mid-service hog): a deterministic full scan — shards in index
     /// order, keeping the first queue of maximal byte count.
     fn longest_evictable_global(engine: &mut ShardedQueueManager) -> Option<(usize, FlowId)> {
-        engine.refresh_occupancy();
-        if let Some((s, flow, _)) = engine.occ.longest() {
+        let mut longest: Option<(usize, FlowId, u64)> = None;
+        for (s, qm) in engine.shards.iter_mut().enumerate() {
+            if let Some((flow, bytes)) = qm.longest_queue() {
+                if longest.is_none_or(|(_, _, b)| bytes > b) {
+                    longest = Some((s, flow, bytes));
+                }
+            }
+        }
+        if let Some((s, flow, _)) = longest {
             if policy::evictable(&engine.shards[s], flow) {
                 return Some((s, flow));
             }
@@ -731,8 +567,8 @@ mod tests {
     fn parallel_matches_serial_including_cross_shard_barriers() {
         let cmds = mixed_batch();
         let mut serial = ShardedQueueManager::new(cfg(64), 4);
-        let expected = serial.execute_batch(&cmds);
-        for threads in [2usize, 3, 4, 8] {
+        let expected: Vec<_> = cmds.iter().map(|c| serial.execute(c.clone())).collect();
+        for threads in [1usize, 2, 3, 4, 8] {
             let mut par = ShardedQueueManager::new(cfg(64), 4);
             let got = par.execute_batch_parallel(&cmds, threads);
             assert_eq!(got, expected, "threads={threads}");
@@ -747,12 +583,25 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_is_the_serial_path() {
+    fn batch_shape_does_not_depend_on_the_worker_count() {
         let cmds = mixed_batch();
-        let mut a = ShardedQueueManager::new(cfg(64), 4);
-        let mut b = ShardedQueueManager::new(cfg(64), 4);
-        assert_eq!(a.execute_batch_parallel(&cmds, 1), b.execute_batch(&cmds));
-        assert_eq!(a.parallel_stats(), crate::stats::ParallelStats::default());
+        let shape = |threads: usize| {
+            let mut e = ShardedQueueManager::new(cfg(64), 4);
+            let results = e.execute_batch_parallel(&cmds, threads);
+            let ps = e.parallel_stats();
+            (
+                results,
+                (ps.parallel_batches, ps.phases, ps.groups),
+                ps.steals,
+            )
+        };
+        let (one, one_shape, one_steals) = shape(1);
+        let (four, four_shape, _) = shape(4);
+        assert_eq!(one, four);
+        assert_eq!(one_shape, four_shape);
+        assert_eq!(one_shape.0, 1);
+        assert!(one_shape.1 > 1, "cross-shard moves split the batch");
+        assert_eq!(one_steals, 0, "one worker never steals");
     }
 
     #[test]
@@ -783,50 +632,17 @@ mod tests {
             payloads.iter().map(|(f, p)| (*f, p.as_slice())).collect();
         let mut e1 = ShardedQueueManager::new(cfg(16), 4);
         let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
-        let serial = adm1.offer_batch(&mut e1, &arrivals);
-        for threads in [2usize, 4] {
+        let serial: Vec<_> = arrivals
+            .iter()
+            .map(|&(f, p)| adm1.offer(&mut e1, f, p))
+            .collect();
+        for threads in [1usize, 2, 4] {
             let mut e2 = ShardedQueueManager::new(cfg(16), 4);
             let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.0));
             let par = adm2.offer_batch_parallel(&mut e2, &arrivals, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(e1.state_digest(), e2.state_digest(), "threads={threads}");
             e2.verify().unwrap();
-        }
-    }
-
-    #[test]
-    fn occupancy_snapshot_publishes_and_merges() {
-        let occ = GlobalOccupancy::new(3);
-        assert_eq!(occ.longest(), None);
-        occ.publish(0, Some((FlowId::new(4), 100)));
-        occ.publish(2, Some((FlowId::new(7), 300)));
-        assert_eq!(occ.top(1), None);
-        assert_eq!(occ.longest(), Some((2, FlowId::new(7), 300)));
-        // Ties break toward the lowest shard.
-        occ.publish(1, Some((FlowId::new(9), 300)));
-        assert_eq!(occ.longest(), Some((1, FlowId::new(9), 300)));
-        occ.publish(2, None);
-        occ.publish(1, None);
-        assert_eq!(occ.longest(), Some((0, FlowId::new(4), 100)));
-        // Saturation: byte counts above u32::MAX still rank highest.
-        occ.publish(1, Some((FlowId::new(0), u64::MAX)));
-        assert_eq!(occ.longest(), Some((1, FlowId::new(0), u32::MAX as u64)));
-    }
-
-    #[test]
-    fn workers_publish_occupancy_tops() {
-        let mut e = ShardedQueueManager::new(cfg(256), 4);
-        let cmds: Vec<Command> = (0..32u32).map(|f| enqueue_cmd(f % 16, 2, 100)).collect();
-        e.execute_batch_parallel(&cmds, 4);
-        // Every shard that holds data published a top.
-        for s in 0..4 {
-            let holds: u64 = (0..16)
-                .map(|f| e.shard(s).queue_len_bytes(FlowId::new(f)))
-                .sum();
-            if holds > 0 {
-                let (_, bytes) = e.occupancy().top(s).expect("loaded shard published");
-                assert!(bytes > 0);
-            }
         }
     }
 

@@ -101,22 +101,27 @@ impl QmStats {
     }
 }
 
-/// Accounting for the thread-parallel batch executor
-/// ([`crate::shard::ShardedQueueManager::execute_batch_parallel`]).
+/// Accounting for the sharded batch executor
+/// ([`crate::shard::ShardedQueueManager::execute_batch_parallel`] and
+/// everything that forwards to it).
 ///
-/// The counters describe the *shape* of the parallel run — how many
-/// batches went through the parallel path, how many barrier-delimited
-/// phases and per-shard groups they contained, and how often an idle
-/// worker stole a whole group from the shared backlog. `steals` depends
-/// on OS scheduling and is therefore **not** deterministic across runs;
-/// everything a run *computes* (results, engine state, reports) still is.
+/// The counters describe the *shape* of the batches — how many batches
+/// ran, how many barrier-delimited phases and per-shard groups they
+/// contained — and how often an idle worker stole a whole group from the
+/// shared backlog. The shape counters are counted the same way at every
+/// thread count, so they are deterministic. `steals` depends on OS
+/// scheduling and is therefore **not** deterministic across runs (it is
+/// always 0 on one worker); everything a run *computes* (results, engine
+/// state, reports) still is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelStats {
-    /// Batches executed through the parallel path.
+    /// Batches executed (`execute_batch*` and `offer_batch*` calls), at
+    /// any thread count.
     pub parallel_batches: u64,
-    /// Barrier-delimited phases (a cross-shard command ends a phase).
+    /// Phases with at least one non-empty group (a cross-shard command
+    /// ends a phase).
     pub phases: u64,
-    /// Per-shard command groups executed by workers.
+    /// Non-empty per-shard groups executed, inline or by workers.
     pub groups: u64,
     /// Groups claimed by a worker that had already drained its first
     /// assignment — whole-group work stealing from the shared backlog.

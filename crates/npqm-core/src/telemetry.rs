@@ -565,7 +565,7 @@ impl MetricsRegistry {
     /// Registers every [`ParallelStats`] counter under `prefix` (e.g.
     /// `"parallel."`). `steals` depends on OS scheduling and is
     /// registered volatile; the shape counters (batches, phases, groups)
-    /// are deterministic.
+    /// are deterministic and equal at every thread count.
     pub fn record_parallel(&mut self, prefix: &str, s: &ParallelStats) {
         self.counter(&format!("{prefix}parallel_batches"), s.parallel_batches);
         self.counter(&format!("{prefix}phases"), s.phases);

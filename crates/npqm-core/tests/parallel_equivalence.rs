@@ -1,21 +1,22 @@
-//! Property tests: thread-parallel batch execution is behaviourally
-//! identical to serial replay — the determinism contract of
-//! `shard::parallel`.
+//! Property tests: batch execution at any worker count is behaviourally
+//! identical to running the commands one at a time — the determinism
+//! contract of `shard::parallel`.
 //!
 //! Three equivalences are checked over random command vectors (including
 //! error paths and cross-shard moves/copies, which act as phase
 //! barriers):
 //!
-//! 1. [`ShardedQueueManager::execute_batch_parallel`] at 2–4 worker
+//! 1. [`ShardedQueueManager::execute_batch_parallel`] at 1–4 worker
 //!    threads yields byte-identical outcomes, counters and full
-//!    engine-state digests to serial
-//!    [`ShardedQueueManager::execute_batch`];
+//!    engine-state digests to [`ShardedQueueManager::execute`] run one
+//!    command at a time;
 //! 2. a batch with a **pathologically long group** on one shard still
-//!    matches serial replay, *and* the work-stealing path demonstrably
-//!    ran (steal counter > 0) — idle workers claimed whole groups off
-//!    the loaded backlog;
-//! 3. [`ShardedAdmission::offer_batch_parallel`] matches serial
-//!    [`ShardedAdmission::offer_batch`] decision for decision, and
+//!    matches that per-command replay, *and* the work-stealing path
+//!    demonstrably ran (steal counter > 0) — idle workers claimed whole
+//!    groups off the loaded backlog;
+//! 3. [`ShardedAdmission::offer_batch_parallel`] at 1–4 worker threads
+//!    matches [`ShardedAdmission::offer`] run one arrival at a time,
+//!    decision for decision, and
 //!    [`GlobalLqd`] admission over the shared buffer is a pure function
 //!    of the arrival sequence (identical twice over, conserving the
 //!    global budget and never evicting an unevictable head).
@@ -24,7 +25,7 @@ use npqm_core::check::state_digest;
 use npqm_core::manager::SegmentPosition;
 use npqm_core::shard::parallel::{GlobalDropPolicy, GlobalLqd};
 use npqm_core::shard::{ShardedAdmission, ShardedQueueManager};
-use npqm_core::{Command, DynamicThreshold, FlowId, QmConfig};
+use npqm_core::{Command, DynamicThreshold, FlowId, Outcome, QmConfig, QueueError};
 use proptest::prelude::*;
 
 const FLOWS: u32 = 8;
@@ -122,6 +123,14 @@ fn small_cfg() -> QmConfig {
         .unwrap()
 }
 
+/// The reference: every command through [`ShardedQueueManager::execute`],
+/// one at a time, on a fresh engine.
+fn one_by_one(cmds: &[Command]) -> (ShardedQueueManager, Vec<Result<Outcome, QueueError>>) {
+    let mut engine = ShardedQueueManager::new(small_cfg(), 4);
+    let results = cmds.iter().map(|c| engine.execute(c.clone())).collect();
+    (engine, results)
+}
+
 /// Full engine equality: per-shard state digests (payload bytes, queue
 /// structure, free lists, operation counters).
 fn assert_same_engines(a: &ShardedQueueManager, b: &ShardedQueueManager) {
@@ -143,11 +152,10 @@ proptest! {
     #[test]
     fn parallel_batch_equals_serial_replay(
         ops in proptest::collection::vec(op_strategy(), 1..60),
-        threads in 2usize..5,
+        threads in 1usize..5,
     ) {
         let cmds = materialize(&ops);
-        let mut serial = ShardedQueueManager::new(small_cfg(), 4);
-        let expected = serial.execute_batch(&cmds);
+        let (serial, expected) = one_by_one(&cmds);
 
         let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
         let got = parallel.execute_batch_parallel(&cmds, threads);
@@ -174,9 +182,9 @@ proptest! {
     /// The work-stealing satellite: one shard gets a pathologically long
     /// command group (a hog flow with hundreds of enqueue/dequeue
     /// round-trips prepended to the random tail), run on 2 workers.
-    /// (a) stealing occurred — the claim counter handed whole groups to
+    /// (a) stealing occurred — the shared backlog handed whole groups to
     /// a worker that had already drained its first; (b) the results
-    /// still equal serial replay exactly.
+    /// still equal per-command replay exactly.
     #[test]
     fn pathological_group_steals_and_stays_equal(
         ops in proptest::collection::vec(op_strategy(), 1..40),
@@ -208,8 +216,7 @@ proptest! {
                 .filter(|c| c.secondary_flow().is_none()),
         );
 
-        let mut serial = ShardedQueueManager::new(small_cfg(), 4);
-        let expected = serial.execute_batch(&cmds);
+        let (serial, expected) = one_by_one(&cmds);
 
         let mut parallel = ShardedQueueManager::new(small_cfg(), 4);
         let got = parallel.execute_batch_parallel(&cmds, 2);
@@ -226,7 +233,7 @@ proptest! {
         parallel.verify().unwrap();
     }
 
-    /// Parallel admission matches serial admission decision for
+    /// Batched admission matches per-arrival admission decision for
     /// decision, across shard-local Choudhury–Hahne policies.
     #[test]
     fn parallel_admission_equals_serial(
@@ -234,7 +241,7 @@ proptest! {
             (0..FLOWS, 1usize..180),
             1..120,
         ),
-        threads in 2usize..5,
+        threads in 1usize..5,
     ) {
         let payloads: Vec<(FlowId, Vec<u8>)> = arrivals
             .iter()
@@ -246,7 +253,10 @@ proptest! {
 
         let mut e1 = ShardedQueueManager::new(small_cfg(), 4);
         let mut adm1 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));
-        let expected = adm1.offer_batch(&mut e1, &refs);
+        let expected: Vec<_> = refs
+            .iter()
+            .map(|&(f, p)| adm1.offer(&mut e1, f, p))
+            .collect();
 
         let mut e2 = ShardedQueueManager::new(small_cfg(), 4);
         let mut adm2 = ShardedAdmission::from_fn(4, |_| DynamicThreshold::new(1.5));

@@ -11,9 +11,11 @@
 //! # What is measured
 //!
 //! Each round offers a batch of packets through shard-local
-//! Choudhury–Hahne admission ([`ShardedAdmission`] +
-//! [`DynamicThreshold`]) and then drains part of the backlog with a batch
-//! of `Dequeue` commands ([`ShardedQueueManager::execute_batch`]). Both
+//! Choudhury–Hahne admission ([`ShardedAdmission::offer_batch_parallel`]
+//! with [`DynamicThreshold`]) and then drains part of the backlog with a
+//! batch of `Dequeue` commands
+//! ([`ShardedQueueManager::execute_batch_parallel`]), both on the run's
+//! worker-thread count. Both
 //! paths accumulate per-shard **busy time**; since shards share no state,
 //! N shards model N engines running in parallel and the sustained rate is
 //!
@@ -45,15 +47,32 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Worker-thread count from the `NPQM_THREADS` environment variable
-/// (default 1 — the serial reference path). This is the knob the CI
-/// `parallel-determinism` stage turns: `table7 --check` must produce
-/// byte-identical machine-readable reports at any value.
+/// (1 when unset). This is the knob the CI determinism stages turn:
+/// `table7 --check` must produce byte-identical machine-readable reports
+/// at any value.
+///
+/// # Panics
+///
+/// Panics, naming the value, if `NPQM_THREADS` is set to anything but a
+/// positive integer (surrounding whitespace is allowed), so a typo never
+/// silently runs one thread.
 pub fn threads_from_env() -> usize {
-    std::env::var("NPQM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(1)
+    let value = std::env::var_os("NPQM_THREADS").map(|v| v.to_string_lossy().into_owned());
+    parse_threads(value.as_deref()).unwrap_or_else(|| {
+        panic!(
+            "NPQM_THREADS must be a positive integer, got {:?}",
+            value.unwrap_or_default()
+        )
+    })
+}
+
+/// Parses an `NPQM_THREADS` value: unset is 1, a set value must be a
+/// positive integer.
+fn parse_threads(value: Option<&str>) -> Option<usize> {
+    match value {
+        None => Some(1),
+        Some(v) => v.trim().parse().ok().filter(|&t| t > 0),
+    }
 }
 
 /// Configuration of one shard-scaling run.
@@ -177,10 +196,11 @@ fn drain_batch(cfg: &ShardScaleConfig, engine: &ShardedQueueManager) -> Vec<Comm
 pub struct ShardScaleRow {
     /// Number of shards (independent engines).
     pub shards: usize,
-    /// Worker threads the batches ran on (1 = the serial reference
-    /// path). Every field except the timing measurements (`busy`,
-    /// `critical_path`, `serial_time`, `wall_clock`) and `steals` is
-    /// identical across thread counts for a fixed configuration.
+    /// Worker threads the batches ran on (1 runs every group inline on
+    /// the calling thread). Every field except the timing measurements
+    /// (`busy`, `critical_path`, `serial_time`, `wall_clock`) and
+    /// `steals` is identical across thread counts for a fixed
+    /// configuration.
     pub threads: usize,
     /// Packets the mix offered for admission.
     pub offered_pkts: u64,
@@ -354,11 +374,7 @@ fn run_rounds(
             .iter()
             .map(|(f, d)| (*f, d.as_slice()))
             .collect();
-        let admissions = if threads == 1 {
-            adm.offer_batch(&mut engine, &arrivals)
-        } else {
-            adm.offer_batch_parallel(&mut engine, &arrivals, threads)
-        };
+        let admissions = adm.offer_batch_parallel(&mut engine, &arrivals, threads);
         for (i, result) in admissions.iter().enumerate() {
             let (flow, data) = &arrivals_owned[i];
             row.offered_pkts += 1;
@@ -380,11 +396,7 @@ fn run_rounds(
 
         // --- drain batch: serve a fraction of the backlog ---
         let drain = drain_batch(cfg, &engine);
-        let served = if threads == 1 {
-            engine.execute_batch(&drain)
-        } else {
-            engine.execute_batch_parallel(&drain, threads)
-        };
+        let served = engine.execute_batch_parallel(&drain, threads);
         for (cmd, result) in drain.iter().zip(&served) {
             let Ok(Outcome::Segment(seg)) = result else {
                 continue; // QueueEmpty on an idle flow: expected
@@ -441,11 +453,11 @@ fn run_rounds(
 /// and the per-shard locality effects (smaller queue tables and
 /// occupancy heaps) that sharding buys.
 ///
-/// `threads == 1` runs the serial batch paths; `threads > 1` runs
-/// [`ShardedAdmission::offer_batch_parallel`] and
-/// [`ShardedQueueManager::execute_batch_parallel`], whose results are
-/// byte-identical to serial (only `wall_clock`, the busy-time fields and
-/// `steals` change — the row's `fingerprint` proves it). `wall_clock`
+/// Every round runs [`ShardedAdmission::offer_batch_parallel`] and
+/// [`ShardedQueueManager::execute_batch_parallel`] on `threads` workers.
+/// Their results are byte-identical at any thread count (only
+/// `wall_clock`, the busy-time fields and `steals` change — the row's
+/// `fingerprint` proves it). `wall_clock`
 /// measures the real offer/drain loop, so at `threads ≥ shards` on a
 /// multi-core host it shows the *actual* speedup next to the modeled
 /// critical-path composite.
@@ -611,8 +623,8 @@ impl MemoryScaleRow {
 ///
 /// The offered trace, the admission decisions and the engine end state
 /// are identical to what [`run_shard_scale`] computes for the same
-/// configuration — tracing only records. `threads` selects serial or
-/// thread-parallel batch execution; because the recorded per-shard
+/// configuration — tracing only records. `threads` sets the batch
+/// executor's worker count; because the recorded per-shard
 /// streams are deterministic, the charged costs (and the row
 /// fingerprint) are byte-identical at any thread count.
 ///
@@ -724,8 +736,19 @@ mod tests {
             assert!(row.serial_time >= row.critical_path);
             assert!(row.wall_clock >= row.critical_path);
             assert_eq!(row.busy.len(), shards);
-            assert_eq!(row.steals, 0, "serial path never steals");
+            assert_eq!(row.steals, 0, "one worker never steals");
         }
+    }
+
+    #[test]
+    fn threads_parse_strictly() {
+        assert_eq!(parse_threads(None), Some(1));
+        assert_eq!(parse_threads(Some("1")), Some(1));
+        assert_eq!(parse_threads(Some("4")), Some(4));
+        assert_eq!(parse_threads(Some(" 4 ")), Some(4));
+        assert_eq!(parse_threads(Some("0")), None);
+        assert_eq!(parse_threads(Some("four")), None);
+        assert_eq!(parse_threads(Some("")), None);
     }
 
     #[test]
