@@ -103,7 +103,7 @@ fn bench_schedulers(c: &mut Criterion) {
     group.bench_function("strict_priority_drain_64", |b| {
         b.iter_batched(
             || {
-                let mut qm = engine(FreeListDiscipline::Lifo);
+                let mut qm = drain_engine();
                 for i in 0..64u32 {
                     qm.enqueue_packet(FlowId::new(i % 8), &[0; 64]).unwrap();
                 }
@@ -116,7 +116,7 @@ fn bench_schedulers(c: &mut Criterion) {
     group.bench_function("wrr_drain_64", |b| {
         b.iter_batched(
             || {
-                let mut qm = engine(FreeListDiscipline::Lifo);
+                let mut qm = drain_engine();
                 for i in 0..64u32 {
                     qm.enqueue_packet(FlowId::new(i % 8), &[0; 64]).unwrap();
                 }
@@ -129,7 +129,7 @@ fn bench_schedulers(c: &mut Criterion) {
     group.bench_function("drr_drain_64", |b| {
         b.iter_batched(
             || {
-                let mut qm = engine(FreeListDiscipline::Lifo);
+                let mut qm = drain_engine();
                 for i in 0..64u32 {
                     qm.enqueue_packet(FlowId::new(i % 8), &[0; 64]).unwrap();
                 }
@@ -139,7 +139,59 @@ fn bench_schedulers(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // The paper's 32K queues with a sparse backlog: a pick, the state
+    // digest and the invariant walk must not pay for the empty queues
+    // (the invariant walk still reads every queue record once).
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("drr_sparse_32k", |b| {
+        let mut qm = sparse_32k();
+        let mut drr = DeficitRoundRobin::new(vec![1518; 32 * 1024]);
+        b.iter(|| {
+            let (flow, pkt) = drain_next(&mut qm, &mut drr).unwrap();
+            qm.enqueue_packet(flow, black_box(&pkt)).unwrap();
+        });
+    });
+    group.bench_function("state_digest_32k", |b| {
+        let qm = sparse_32k();
+        b.iter(|| black_box(npqm_core::check::state_digest(black_box(&qm))));
+    });
+    group.bench_function("verify_32k", |b| {
+        let qm = sparse_32k();
+        b.iter(|| black_box(qm.verify().unwrap()));
+    });
     group.finish();
+}
+
+/// The drain benches' engine: 1,024 flows but only the 256 segments the
+/// 64 queued packets need. `iter_batched` builds up to 2¹⁶ inputs per
+/// sample, so a full-size pool per input would need gigabytes.
+fn drain_engine() -> QueueManager {
+    let cfg = QmConfig::builder()
+        .num_flows(1024)
+        .num_segments(256)
+        .segment_bytes(64)
+        .build()
+        .unwrap();
+    QueueManager::new(cfg)
+}
+
+/// 32,768 flows, 8 of them backlogged with four 64-byte packets each,
+/// spread across the queue table.
+fn sparse_32k() -> QueueManager {
+    let cfg = QmConfig::builder()
+        .num_flows(32 * 1024)
+        .num_segments(64 * 1024)
+        .segment_bytes(64)
+        .build()
+        .unwrap();
+    let mut qm = QueueManager::new(cfg);
+    for i in 0..8u32 {
+        for _ in 0..4 {
+            qm.enqueue_packet(FlowId::new(i * 4099 + 7), &[i as u8; 64])
+                .unwrap();
+        }
+    }
+    qm
 }
 
 fn config() -> Criterion {

@@ -5,11 +5,10 @@
 //! whole pointer memory and cross-checks everything; the test suite and the
 //! property tests call it after every operation sequence.
 
-use crate::id::{FlowId, PacketId, SegmentId};
+use crate::id::{FlowId, PacketId};
 use crate::manager::QueueManager;
-use crate::ptrmem::PtrMemCounters;
+use crate::ptrmem::{PtrMemCounters, QueueRecord};
 use core::fmt;
-use std::collections::HashSet;
 
 /// A violated invariant, with a human-readable description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +56,34 @@ fn violation<T>(what: impl Into<String>) -> Result<T, InvariantViolation> {
     Err(InvariantViolation { what: what.into() })
 }
 
+/// A set of segment or packet-record indices, one bit per record.
+struct IndexSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IndexSet {
+    fn new(records: u32) -> Self {
+        IndexSet {
+            words: vec![0; (records as usize).div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Adds `i`; `false` if it was already present.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+}
+
 /// Verifies every structural invariant of `qm`:
 ///
 /// 1. every per-packet segment chain is well-formed (`first → … → last`,
@@ -72,7 +99,11 @@ fn violation<T>(what: impl Into<String>) -> Result<T, InvariantViolation> {
 /// 4. only a queue's head packet may be partially consumed (`started`);
 /// 5. no segment or packet record is referenced twice;
 /// 6. the free lists and the queues exactly partition both index spaces;
-/// 7. every linked segment has a non-zero length within the segment size.
+/// 7. every linked segment has a non-zero length within the segment size;
+/// 8. every flow's occupancy bit is set iff its queue record differs from
+///    [`QueueRecord::default`] (the bit that lets schedulers and
+///    [`state_digest`] skip empty flows). The walk reads every record
+///    rather than trusting the bitmap it checks.
 ///
 /// # Errors
 ///
@@ -80,20 +111,28 @@ fn violation<T>(what: impl Into<String>) -> Result<T, InvariantViolation> {
 pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> {
     let cfg = &qm.cfg;
     let pm = &qm.ptr;
-    let mut used_segs: HashSet<SegmentId> = HashSet::new();
-    let mut used_pkts: HashSet<PacketId> = HashSet::new();
+    let mut used_segs = IndexSet::new(cfg.num_segments());
+    let mut used_pkts = IndexSet::new(cfg.num_segments());
     let mut payload_bytes = 0u64;
 
     for f in 0..cfg.num_flows() {
         let flow = FlowId::new(f);
         let q = pm.queue_silent(flow);
+        let occupied = q != QueueRecord::default();
+        if pm.is_occupied(flow) != occupied {
+            return violation(format!(
+                "{flow}: occupancy bit is {} but the queue record is {}",
+                pm.is_occupied(flow),
+                if occupied { "occupied" } else { "empty" }
+            ));
+        }
         let mut pkts = 0u32;
         let mut segs = 0u32;
         let mut bytes = 0u64;
         let mut pid = q.head_pkt;
         let mut last_seen = PacketId::NIL;
         while !pid.is_nil() {
-            if !used_pkts.insert(pid) {
+            if !used_pkts.insert(pid.as_usize()) {
                 return violation(format!("{flow}: packet {pid} referenced twice"));
             }
             let pr = pm.pkt_silent(pid);
@@ -123,7 +162,7 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
             let mut byte_count = 0u32;
             let mut reached_last = false;
             while !seg.is_nil() {
-                if !used_segs.insert(seg) {
+                if !used_segs.insert(seg.as_usize()) {
                     return violation(format!("{flow}: segment {seg} referenced twice"));
                 }
                 let rec = pm.seg_silent(seg);
@@ -222,20 +261,20 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
             free_segs.len()
         ));
     }
-    let mut free_seg_set = HashSet::new();
+    let mut free_seg_set = IndexSet::new(cfg.num_segments());
     for s in &free_segs {
-        if used_segs.contains(s) {
+        if used_segs.contains(s.as_usize()) {
             return violation(format!("segment {s} is both free and in use"));
         }
-        if !free_seg_set.insert(*s) {
+        if !free_seg_set.insert(s.as_usize()) {
             return violation(format!("segment {s} appears twice on the free list"));
         }
     }
-    if used_segs.len() + free_seg_set.len() != cfg.num_segments() as usize {
+    if used_segs.len + free_seg_set.len != cfg.num_segments() as usize {
         return violation(format!(
             "segment space not partitioned: {} used + {} free != {}",
-            used_segs.len(),
-            free_seg_set.len(),
+            used_segs.len,
+            free_seg_set.len,
             cfg.num_segments()
         ));
     }
@@ -248,30 +287,30 @@ pub fn verify(qm: &QueueManager) -> Result<InvariantReport, InvariantViolation> 
             free_pkts.len()
         ));
     }
-    let mut free_pkt_set = HashSet::new();
+    let mut free_pkt_set = IndexSet::new(cfg.num_segments());
     for p in &free_pkts {
-        if used_pkts.contains(p) {
+        if used_pkts.contains(p.as_usize()) {
             return violation(format!("packet {p} is both free and in use"));
         }
-        if !free_pkt_set.insert(*p) {
+        if !free_pkt_set.insert(p.as_usize()) {
             return violation(format!("packet {p} appears twice on the free list"));
         }
     }
-    if used_pkts.len() + free_pkt_set.len() != cfg.num_segments() as usize {
+    if used_pkts.len + free_pkt_set.len != cfg.num_segments() as usize {
         return violation(format!(
             "packet space not partitioned: {} used + {} free != {}",
-            used_pkts.len(),
-            free_pkt_set.len(),
+            used_pkts.len,
+            free_pkt_set.len,
             cfg.num_segments()
         ));
     }
 
     Ok(InvariantReport {
         queues: cfg.num_flows(),
-        segments_used: used_segs.len() as u32,
-        segments_free: free_seg_set.len() as u32,
-        packets_used: used_pkts.len() as u32,
-        packets_free: free_pkt_set.len() as u32,
+        segments_used: used_segs.len as u32,
+        segments_free: free_seg_set.len as u32,
+        packets_used: used_pkts.len as u32,
+        packets_free: free_pkt_set.len as u32,
         payload_bytes,
         ptr: *pm.counters(),
     })
@@ -291,11 +330,19 @@ pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 /// counts, so all producers must fold identically.
 pub fn fnv1a_fold(hash: u64, value: u64) -> u64 {
     value.to_le_bytes().into_iter().fold(hash, |acc, byte| {
-        (acc ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        (acc ^ byte as u64).wrapping_mul(FNV_PRIME)
     })
 }
 
 use fnv1a_fold as fnv1a;
+
+/// The FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// What folding one empty queue does to the accumulator: its five zero
+/// `u64` words are 40 zero bytes, and `(h ^ 0) * P = h * P`, so the
+/// whole record multiplies `h` by `P⁴⁰` (all arithmetic mod 2⁶⁴).
+const EMPTY_QUEUE_FOLD: u64 = FNV_PRIME.wrapping_pow(40);
 
 /// A deterministic fingerprint of the engine's complete observable state.
 ///
@@ -305,6 +352,13 @@ use fnv1a_fold as fnv1a;
 /// The walk is side-effect free (it uses the silent accessors, so no
 /// access counter moves), which makes the digest safe to take mid-test.
 ///
+/// Only occupied flows are visited. An empty queue contributes five
+/// zero words and no chain, and XOR with a zero byte is the identity,
+/// so folding it is exactly a multiply by `P⁴⁰` (`P` the FNV prime); a
+/// run of `k` empty queues between two occupied ones folds in one step
+/// as a multiply by `(P⁴⁰)ᵏ`. The digest is therefore bit-identical to
+/// a fold of every queue, at a cost that follows the backlog.
+///
 /// Two engines with equal digests executed behaviourally identical
 /// histories for every practical purpose; the parallel-equivalence
 /// property tests use this to prove that
@@ -312,42 +366,69 @@ use fnv1a_fold as fnv1a;
 /// *exactly* the state serial replay does, and `table7 --check` includes
 /// it in the machine-readable determinism report.
 pub fn state_digest(qm: &QueueManager) -> u64 {
-    let cfg = &qm.cfg;
-    let pm = &qm.ptr;
-    let mut h = FNV_OFFSET_BASIS;
-    h = fnv1a(h, cfg.num_flows() as u64);
-    h = fnv1a(h, cfg.num_segments() as u64);
-    for f in 0..cfg.num_flows() {
-        let flow = FlowId::new(f);
-        let q = pm.queue_silent(flow);
-        h = fnv1a(h, u64::from(q.pkts));
-        h = fnv1a(h, u64::from(q.complete_pkts));
-        h = fnv1a(h, u64::from(q.segs));
-        h = fnv1a(h, q.bytes);
-        h = fnv1a(h, u64::from(q.open));
-        let mut pid = q.head_pkt;
-        while !pid.is_nil() {
-            let pr = pm.pkt_silent(pid);
-            h = fnv1a(h, u64::from(pr.segs));
-            h = fnv1a(h, u64::from(pr.bytes));
-            h = fnv1a(h, u64::from(pr.started));
-            h = fnv1a(h, u64::from(pr.eop));
-            h = fnv1a(h, u64::from(pr.work));
-            let mut seg = pr.first;
-            while !seg.is_nil() {
-                let rec = pm.seg_silent(seg);
-                h = fnv1a(h, u64::from(rec.len));
-                for &b in qm.data.read_silent(seg, rec.len as usize) {
-                    h = fnv1a(h, u64::from(b));
-                }
-                if seg == pr.last {
-                    break;
-                }
-                seg = rec.next;
-            }
-            pid = pr.next_pkt;
+    let flows = qm.cfg.num_flows() as usize;
+    let mut h = fold_header(qm);
+    let mut from = 0;
+    loop {
+        let f = qm.ptr.next_occupied(from).unwrap_or(flows);
+        h = h.wrapping_mul(EMPTY_QUEUE_FOLD.wrapping_pow((f - from) as u32));
+        if f == flows {
+            return fold_trailer(qm, h);
         }
+        h = fold_queue(qm, h, FlowId::new(f as u32));
+        from = f + 1;
     }
+}
+
+/// [`state_digest`] folding every queue, the reference the run fold is
+/// tested against.
+#[cfg(test)]
+pub(crate) fn state_digest_dense(qm: &QueueManager) -> u64 {
+    let h = (0..qm.cfg.num_flows()).fold(fold_header(qm), |h, f| fold_queue(qm, h, FlowId::new(f)));
+    fold_trailer(qm, h)
+}
+
+fn fold_header(qm: &QueueManager) -> u64 {
+    let h = fnv1a(FNV_OFFSET_BASIS, qm.cfg.num_flows() as u64);
+    fnv1a(h, qm.cfg.num_segments() as u64)
+}
+
+/// Folds one queue's record, packet chain, segment chain and payload.
+fn fold_queue(qm: &QueueManager, mut h: u64, flow: FlowId) -> u64 {
+    let pm = &qm.ptr;
+    let q = pm.queue_silent(flow);
+    h = fnv1a(h, u64::from(q.pkts));
+    h = fnv1a(h, u64::from(q.complete_pkts));
+    h = fnv1a(h, u64::from(q.segs));
+    h = fnv1a(h, q.bytes);
+    h = fnv1a(h, u64::from(q.open));
+    let mut pid = q.head_pkt;
+    while !pid.is_nil() {
+        let pr = pm.pkt_silent(pid);
+        h = fnv1a(h, u64::from(pr.segs));
+        h = fnv1a(h, u64::from(pr.bytes));
+        h = fnv1a(h, u64::from(pr.started));
+        h = fnv1a(h, u64::from(pr.eop));
+        h = fnv1a(h, u64::from(pr.work));
+        let mut seg = pr.first;
+        while !seg.is_nil() {
+            let rec = pm.seg_silent(seg);
+            h = fnv1a(h, u64::from(rec.len));
+            for &b in qm.data.read_silent(seg, rec.len as usize) {
+                h = fnv1a(h, u64::from(b));
+            }
+            if seg == pr.last {
+                break;
+            }
+            seg = rec.next;
+        }
+        pid = pr.next_pkt;
+    }
+    h
+}
+
+/// Folds the free-space counters and the operation statistics.
+fn fold_trailer(qm: &QueueManager, mut h: u64) -> u64 {
     h = fnv1a(h, u64::from(qm.free_segments()));
     h = fnv1a(h, u64::from(qm.free_packet_records()));
     let s = qm.stats();
@@ -450,6 +531,36 @@ mod tests {
 
         let err = verify(&qm).unwrap_err();
         assert!(err.what.contains("EOP"), "unexpected violation: {err}");
+    }
+
+    #[test]
+    fn checker_detects_a_flipped_occupancy_bit() {
+        let mut qm = QueueManager::new(QmConfig::small());
+        qm.enqueue_packet(FlowId::new(5), &[5; 64]).unwrap();
+        verify(&qm).unwrap();
+        // A set bit on an empty flow, and a clear bit on a busy one.
+        for flow in [FlowId::new(63), FlowId::new(5)] {
+            qm.ptr.flip_occupied(flow);
+            let err = verify(&qm).unwrap_err();
+            assert!(
+                err.what.contains("occupancy bit") && err.what.contains(&flow.to_string()),
+                "unexpected violation: {err}"
+            );
+            qm.ptr.flip_occupied(flow);
+            verify(&qm).unwrap();
+        }
+    }
+
+    #[test]
+    fn run_fold_matches_the_dense_fold() {
+        let mut qm = QueueManager::new(QmConfig::small());
+        assert_eq!(state_digest(&qm), state_digest_dense(&qm));
+        for f in [0u32, 1, 62, 63] {
+            qm.enqueue_packet(FlowId::new(f), &[f as u8; 90]).unwrap();
+        }
+        qm.enqueue(FlowId::new(33), &[7; 64], SegmentPosition::First)
+            .unwrap();
+        assert_eq!(state_digest(&qm), state_digest_dense(&qm));
     }
 
     #[test]

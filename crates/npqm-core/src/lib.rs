@@ -62,6 +62,9 @@ pub mod stats;
 pub mod telemetry;
 pub mod timing;
 
+#[cfg(test)]
+mod occupancy_props;
+
 pub use arena::{ArenaConfig, ArenaPacket, ArenaReport, ArenaTrace, OfflineBound, ServiceModel};
 pub use command::{Command, Outcome};
 pub use config::QmConfig;

@@ -224,16 +224,23 @@ impl QueueManager {
         }
     }
 
-    /// Rebuilds the occupancy index from the queue table (stale-entry GC).
+    /// Rebuilds the occupancy index from the queue table (stale-entry GC),
+    /// visiting only the flows whose occupancy bit is set.
     fn rebuild_occupancy(&mut self) {
         self.occ.heap.clear();
-        for f in 0..self.cfg.num_flows() {
-            let flow = FlowId::new(f);
-            let bytes = self.ptr.queue_silent(flow).bytes;
+        for f in self.ptr.occupied_from(0) {
+            let bytes = self.ptr.queue_silent(FlowId::new(f as u32)).bytes;
             if bytes > 0 {
-                self.occ.heap.push((bytes, f));
+                self.occ.heap.push((bytes, f as u32));
             }
         }
+    }
+
+    /// The flows whose queue record is not empty, ascending. Every flow
+    /// holding a packet is among them, so scans that look for backlog
+    /// cost O(backlog), not O(flows).
+    pub(crate) fn occupied_flows(&self) -> impl Iterator<Item = FlowId> + '_ {
+        self.ptr.occupied_from(0).map(|f| FlowId::new(f as u32))
     }
 
     /// The non-empty flow holding the most payload bytes, with that count.

@@ -315,17 +315,16 @@ pub(crate) fn evictable(qm: &QueueManager, flow: FlowId) -> bool {
 ///
 /// Fast path: the engine's occupancy index. When the overall-longest
 /// queue happens to be unevictable (its only content is a mid-SAR open
-/// packet, or its head is mid-service), falls back to a linear scan —
-/// rare, since such a queue can hog the maximum only while its flow
-/// out-buffers every other flow.
+/// packet, or its head is mid-service), falls back to a scan of the
+/// occupied flows — rare, since such a queue can hog the maximum only
+/// while its flow out-buffers every other flow.
 pub(crate) fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
     if let Some((flow, _)) = qm.longest_queue() {
         if evictable(qm, flow) {
             return Some(flow);
         }
     }
-    (0..qm.config().num_flows())
-        .map(FlowId::new)
+    qm.occupied_flows()
         .filter(|&f| evictable(qm, f))
         .max_by_key(|&f| qm.queue_len_bytes(f))
 }
@@ -338,8 +337,7 @@ pub(crate) fn longest_evictable(qm: &mut QueueManager) -> Option<FlowId> {
 /// refusal, never a panic.
 pub(crate) fn costliest_evictable(qm: &QueueManager) -> Option<FlowId> {
     let mut best: Option<(u32, u64, FlowId)> = None;
-    for f in 0..qm.config().num_flows() {
-        let flow = FlowId::new(f);
+    for flow in qm.occupied_flows() {
         if !evictable(qm, flow) {
             continue;
         }
@@ -362,8 +360,7 @@ pub(crate) fn costliest_evictable(qm: &QueueManager) -> Option<FlowId> {
 /// flow id. `None` when nothing is evictable.
 pub(crate) fn densest_evictable(qm: &QueueManager) -> Option<FlowId> {
     let mut best: Option<(u64, u64, FlowId)> = None;
-    for f in 0..qm.config().num_flows() {
-        let flow = FlowId::new(f);
+    for flow in qm.occupied_flows() {
         if !evictable(qm, flow) {
             continue;
         }

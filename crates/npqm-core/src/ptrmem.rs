@@ -112,6 +112,16 @@ impl Default for QueueRecord {
     }
 }
 
+impl QueueRecord {
+    /// Whether the record differs from [`QueueRecord::default`], as one
+    /// branch-free OR over its fields (the per-write occupancy update).
+    fn occupied(&self) -> bool {
+        let links = (self.head_pkt.index() ^ u32::MAX) | (self.tail_pkt.index() ^ u32::MAX);
+        let counts = self.pkts | self.complete_pkts | self.segs | u32::from(self.open);
+        u64::from(links | counts) | self.bytes != 0
+    }
+}
+
 /// Counters of pointer-memory traffic, grouped by plane.
 ///
 /// One unit is one record-sized SRAM access. The hardware models consume
@@ -173,11 +183,19 @@ impl PtrMemCounters {
 /// All mutation goes through accessor methods that maintain
 /// [`PtrMemCounters`]; the rest of the crate never touches the planes
 /// directly.
+///
+/// Beside the queue table sits one occupancy bit per flow: set iff the
+/// flow's record differs from [`QueueRecord::default`]. Schedulers and
+/// the state digest walk it to visit only occupied flows, so their cost
+/// follows the backlog, not the configured queue count. Like the silent
+/// accessors it is not pointer-memory traffic: hardware would keep the
+/// same non-empty flag in a register file beside the queue table.
 #[derive(Debug, Clone)]
 pub struct PtrMem {
     segs: Vec<SegRecord>,
     pkts: Vec<PktRecord>,
     queues: Vec<QueueRecord>,
+    occupied: Vec<u64>,
     counters: PtrMemCounters,
 }
 
@@ -189,6 +207,7 @@ impl PtrMem {
             segs: vec![SegRecord::default(); num_segments as usize],
             pkts: vec![PktRecord::default(); num_segments as usize],
             queues: vec![QueueRecord::default(); num_flows as usize],
+            occupied: vec![0; (num_flows as usize).div_ceil(64)],
             counters: PtrMemCounters::default(),
         }
     }
@@ -286,12 +305,47 @@ impl PtrMem {
     /// Panics if `flow` is out of range.
     pub fn set_queue(&mut self, flow: FlowId, rec: QueueRecord) {
         self.counters.qt_writes += 1;
-        self.queues[flow.as_usize()] = rec;
+        let i = flow.as_usize();
+        self.queues[i] = rec;
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.occupied[i / 64];
+        *word = (*word & !bit) | (u64::from(rec.occupied()) << (i % 64));
     }
 
     /// Reads a queue record without counting (test/verification use).
     pub fn queue_silent(&self, flow: FlowId) -> QueueRecord {
         self.queues[flow.as_usize()]
+    }
+
+    /// The lowest occupied flow index `>= from`, or `None` if there is
+    /// none. Uncounted, like [`PtrMem::queue_silent`].
+    pub(crate) fn next_occupied(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.occupied.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.occupied.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The occupied flow indices `>= from`, ascending. Uncounted.
+    pub(crate) fn occupied_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_occupied(from), |&i| self.next_occupied(i + 1))
+    }
+
+    /// Whether `flow`'s occupancy bit is set. Uncounted.
+    pub(crate) fn is_occupied(&self, flow: FlowId) -> bool {
+        let i = flow.as_usize();
+        (self.occupied[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Flips `flow`'s occupancy bit without touching its record, so tests
+    /// can show that [`crate::check::verify`] polices the bitmap.
+    #[cfg(test)]
+    pub(crate) fn flip_occupied(&mut self, flow: FlowId) {
+        let i = flow.as_usize();
+        self.occupied[i / 64] ^= 1 << (i % 64);
     }
 }
 
@@ -380,6 +434,58 @@ mod tests {
         assert_eq!(pm.counters().qt_reads, 0);
         assert_eq!(pm.counters().seg_reads, 0);
         assert_eq!(pm.counters().pkt_reads, 0);
+    }
+
+    #[test]
+    fn occupied_means_differs_from_default_in_any_field() {
+        let d = QueueRecord::default();
+        assert!(!d.occupied());
+        for rec in [
+            QueueRecord {
+                head_pkt: PacketId::new(0),
+                ..d
+            },
+            QueueRecord {
+                tail_pkt: PacketId::new(7),
+                ..d
+            },
+            QueueRecord { pkts: 1, ..d },
+            QueueRecord {
+                complete_pkts: 1,
+                ..d
+            },
+            QueueRecord { segs: 1, ..d },
+            QueueRecord {
+                bytes: 1 << 40,
+                ..d
+            },
+            QueueRecord { open: true, ..d },
+        ] {
+            assert!(rec.occupied(), "{rec:?}");
+        }
+    }
+
+    #[test]
+    fn occupancy_bit_follows_the_record_across_words() {
+        let mut pm = PtrMem::new(4, 130);
+        assert_eq!(pm.next_occupied(0), None);
+        let busy = QueueRecord {
+            pkts: 1,
+            ..QueueRecord::default()
+        };
+        for f in [3, 63, 64, 129] {
+            pm.set_queue(FlowId::new(f), busy);
+        }
+        assert_eq!(pm.next_occupied(0), Some(3));
+        assert_eq!(pm.next_occupied(4), Some(63));
+        assert_eq!(pm.next_occupied(64), Some(64));
+        assert_eq!(pm.next_occupied(65), Some(129));
+        assert_eq!(pm.next_occupied(130), None);
+        assert_eq!(pm.next_occupied(500), None);
+        pm.set_queue(FlowId::new(64), QueueRecord::default());
+        assert!(!pm.is_occupied(FlowId::new(64)));
+        assert_eq!(pm.next_occupied(64), Some(129));
+        assert_eq!(pm.counters().qt_reads, 0, "the bitmap is not traffic");
     }
 
     #[test]

@@ -537,7 +537,7 @@ impl FlowScheduler for HtbScheduler {
                     Some(qm.head_packet_bytes(leaf.flow).unwrap_or(0))
                 };
                 let empty = |slot: usize| qm.complete_packets(leaves[slot].flow) == 0;
-                if let Some(slot) = cores[tier * nprio + p].next(head, empty) {
+                if let Some(slot) = cores[tier * nprio + p].next(Some, head, empty) {
                     self.last_pick = Some((slot, tier * nprio + p));
                     return Some(self.leaves[slot].flow);
                 }

@@ -90,8 +90,8 @@ impl StrictPriority {
 
 impl FlowScheduler for StrictPriority {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
-        (0..self.flows)
-            .map(FlowId::new)
+        qm.occupied_flows()
+            .take_while(|f| f.index() < self.flows)
             .find(|&f| qm.complete_packets(f) > 0)
     }
 
@@ -141,12 +141,14 @@ impl FlowScheduler for WeightedRoundRobin {
             if pass == 1 {
                 self.refill();
             }
-            for i in 0..n {
-                let idx = (self.cursor + i) % n;
-                let flow = FlowId::new(idx as u32);
-                if self.credits[idx] > 0 && qm.complete_packets(flow) > 0 {
-                    self.cursor = idx;
-                    return Some(flow);
+            // Occupied flows from the cursor: `cursor..n`, then `0..cursor`.
+            for (lo, hi) in [(self.cursor, n), (0, self.cursor)] {
+                for idx in qm.ptr.occupied_from(lo).take_while(|&i| i < hi) {
+                    let flow = FlowId::new(idx as u32);
+                    if self.credits[idx] > 0 && qm.complete_packets(flow) > 0 {
+                        self.cursor = idx;
+                        return Some(flow);
+                    }
                 }
             }
         }
@@ -166,10 +168,16 @@ impl FlowScheduler for WeightedRoundRobin {
 /// abstract slots, shared verbatim by the flat [`DeficitRoundRobin`] and
 /// the per-priority sibling rounds inside [`htb::HtbScheduler`].
 ///
-/// The caller supplies two closures: `head(slot)` returns the head-packet
-/// size when the slot is backlogged *and currently eligible* (HTB gates
-/// eligibility on token state; the flat discipline on backlog alone), and
-/// `empty(slot)` reports a drained queue, which forfeits its deficit.
+/// The caller supplies three closures: `candidate(i)` returns the first
+/// slot `>= i` that might be backlogged (`Some` for "every slot"; the
+/// flat discipline skips flows whose occupancy bit is clear),
+/// `head(slot)` returns the head-packet size when the slot is backlogged
+/// *and currently eligible* (HTB gates eligibility on token state; the
+/// flat discipline on backlog alone), and `empty(slot)` reports a
+/// drained queue, which forfeits its deficit. A round visits slots in
+/// the order `cursor..n`, then `0..cursor`, whatever the candidate
+/// function: skipping a slot whose `head` is `None` changes nothing, so
+/// the selection sequence is the same as a visit of every slot.
 /// Because both disciplines run this exact loop, a degenerate HTB tree
 /// (every leaf permanently eligible) reproduces flat DRR's selection
 /// sequence byte-for-byte — a property the test suite pins via
@@ -204,6 +212,7 @@ impl DrrCore {
     /// Picks the next slot to serve, or `None` if no slot is eligible.
     pub(crate) fn next(
         &mut self,
+        candidate: impl Fn(usize) -> Option<usize>,
         head: impl Fn(usize) -> Option<u64>,
         empty: impl Fn(usize) -> bool,
     ) -> Option<usize> {
@@ -221,31 +230,32 @@ impl DrrCore {
                 }
             }
         }
-        // Visit slots round-robin, granting each its quantum, until one can
-        // afford its head packet. Bounded: one quantum grant per slot per
-        // call sequence; after `n` visits with no progress, queues with
-        // backlog will eventually accumulate enough deficit — iterate a
-        // few rounds and bail out if really nothing is ready.
-        for _round in 0..64 {
+        // Visit slots round-robin, granting each backlogged one its
+        // quantum, until one can afford its head packet. This terminates:
+        // every round grows each backlogged slot's deficit by a non-zero
+        // quantum, and a round with no backlog at all returns `None`.
+        loop {
             let mut any_backlog = false;
-            for i in 0..n {
-                let idx = (self.cursor + i) % n;
-                let Some(h) = head(idx) else {
-                    continue;
-                };
-                any_backlog = true;
-                self.deficit[idx] += self.quanta[idx] as u64;
-                if h <= self.deficit[idx] {
-                    self.active = Some(idx);
-                    self.cursor = idx;
-                    return Some(idx);
+            for (lo, hi) in [(self.cursor, n), (0, self.cursor)] {
+                let mut next = candidate(lo);
+                while let Some(idx) = next.filter(|&i| i < hi) {
+                    next = candidate(idx + 1);
+                    let Some(h) = head(idx) else {
+                        continue;
+                    };
+                    any_backlog = true;
+                    self.deficit[idx] += self.quanta[idx] as u64;
+                    if h <= self.deficit[idx] {
+                        self.active = Some(idx);
+                        self.cursor = idx;
+                        return Some(idx);
+                    }
                 }
             }
             if !any_backlog {
                 return None;
             }
         }
-        None
     }
 
     pub(crate) fn served(&mut self, slot: usize, bytes: usize) {
@@ -255,6 +265,11 @@ impl DrrCore {
 
 /// Deficit round robin (Shreedhar & Varghese): byte-accurate fairness with
 /// per-flow quanta.
+///
+/// Each round visits only flows whose occupancy bit is set, in the same
+/// `cursor..n`, `0..cursor` order as a visit of every flow, so the cost
+/// of a pick follows the backlog rather than the configured flow count
+/// and the selection sequence is unchanged.
 #[derive(Debug, Clone)]
 pub struct DeficitRoundRobin {
     core: DrrCore,
@@ -278,15 +293,12 @@ impl DeficitRoundRobin {
         self.core.deficit(flow.as_usize())
     }
 
+    /// The head packet's size, which DRR compares against the deficit,
+    /// or `None` while `flow` has no complete packet.
     fn head_bytes(qm: &QueueManager, flow: FlowId) -> Option<u64> {
         if qm.complete_packets(flow) == 0 {
             return None;
         }
-        // The head packet's size: DRR compares it against the deficit.
-        // queue_len_bytes is the whole queue; we approximate the head size
-        // with a peek of the head segment chain via packet accounting:
-        // the engine exposes per-queue byte counts; for exact head-packet
-        // size we read the head (no dequeue).
         Some(qm.head_packet_bytes(flow).unwrap_or(0))
     }
 }
@@ -295,6 +307,7 @@ impl FlowScheduler for DeficitRoundRobin {
     fn next_flow(&mut self, qm: &QueueManager) -> Option<FlowId> {
         self.core
             .next(
+                |slot| qm.ptr.next_occupied(slot),
                 |slot| Self::head_bytes(qm, FlowId::new(slot as u32)),
                 |slot| qm.complete_packets(FlowId::new(slot as u32)) == 0,
             )
@@ -403,6 +416,23 @@ mod tests {
     }
 
     #[test]
+    fn wrr_continues_from_its_cursor() {
+        // Flow 1 holds the round with a credit left when flow 0 wakes up:
+        // the round continues at flow 1, then wraps to flow 0.
+        let mut qm = engine();
+        for _ in 0..3 {
+            qm.enqueue_packet(FlowId::new(1), b"one").unwrap();
+        }
+        let mut wrr = WeightedRoundRobin::new(vec![2, 2]);
+        assert_eq!(drain_next(&mut qm, &mut wrr).unwrap().0.index(), 1);
+        qm.enqueue_packet(FlowId::new(0), b"zero").unwrap();
+        let order: Vec<u32> = std::iter::from_fn(|| drain_next(&mut qm, &mut wrr))
+            .map(|(f, _)| f.index())
+            .collect();
+        assert_eq!(order, vec![1, 0, 1]);
+    }
+
+    #[test]
     fn drr_is_byte_fair_with_mixed_packet_sizes() {
         let mut qm = engine();
         // Flow 0 sends jumbo-ish packets, flow 1 minimum-size ones. With
@@ -460,6 +490,20 @@ mod tests {
         let (f, _) = drain_next(&mut qm, &mut drr).unwrap();
         assert_eq!(f.index(), 1);
         assert_eq!(drr.deficit(FlowId::new(0)), 0, "forfeited");
+    }
+
+    #[test]
+    fn drr_keeps_granting_quanta_until_a_packet_fits() {
+        // A 1-byte quantum against a 100-byte packet needs 100 rounds; the
+        // scheduler must not report "idle" while flow 0 is backlogged.
+        let mut qm = engine();
+        qm.enqueue_packet(FlowId::new(0), &[0; 100]).unwrap();
+        let mut drr = DeficitRoundRobin::new(vec![1, 1]);
+        assert_eq!(drr.next_flow(&qm), Some(FlowId::new(0)));
+        assert_eq!(drr.deficit(FlowId::new(0)), 100);
+        let (f, pkt) = drain_next(&mut qm, &mut drr).unwrap();
+        assert_eq!((f.index(), pkt.len()), (0, 100));
+        assert!(drain_next(&mut qm, &mut drr).is_none());
     }
 
     #[test]

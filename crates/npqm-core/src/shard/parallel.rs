@@ -437,8 +437,9 @@ impl GlobalLqd {
     /// Fast path: each shard's longest queue, in shard order, keeping a
     /// queue only if it is strictly longer (ties go to the lowest shard),
     /// taken if evictable. Fallback (the maximum is a mid-SAR or
-    /// mid-service hog): a deterministic full scan — shards in index
-    /// order, keeping the first queue of maximal byte count.
+    /// mid-service hog): a deterministic scan of every shard's occupied
+    /// flows — shards in index order, keeping the first queue of maximal
+    /// byte count.
     fn longest_evictable_global(engine: &mut ShardedQueueManager) -> Option<(usize, FlowId)> {
         let mut longest: Option<(usize, FlowId, u64)> = None;
         for (s, qm) in engine.shards.iter_mut().enumerate() {
@@ -455,8 +456,7 @@ impl GlobalLqd {
         }
         let mut best: Option<(u64, usize, FlowId)> = None;
         for (s, qm) in engine.shards.iter().enumerate() {
-            for f in 0..qm.config().num_flows() {
-                let flow = FlowId::new(f);
+            for flow in qm.occupied_flows() {
                 if !policy::evictable(qm, flow) {
                     continue;
                 }
